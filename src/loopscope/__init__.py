@@ -24,12 +24,9 @@ from .netlist import (
     render,
 )
 from .mna import (
-    ComplexSolution,
-    InjectionSpec,
     MnaPattern,
     SingularSystem,
     UnknownNode,
-    assemble,
     build_pattern,
     solve,
 )
@@ -74,8 +71,7 @@ __all__ = [
     "Element", "ElementKind", "MalformedNumber", "Netlist", "NetlistError",
     "NetlistSyntaxError", "elaborate", "parse", "parse_value", "render",
     # mna
-    "ComplexSolution", "InjectionSpec", "MnaPattern", "SingularSystem",
-    "UnknownNode", "assemble", "build_pattern", "solve",
+    "MnaPattern", "SingularSystem", "UnknownNode", "build_pattern", "solve",
     # sweep
     "AllNodesSweep", "BadRange", "FrequencyGrid", "NodeResponse",
     "inject_node", "make_grid", "sweep_all_nodes",

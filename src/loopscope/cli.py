@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -25,8 +25,6 @@ from .sweep import BadRange, inject_node, make_grid, sweep_all_nodes
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE_RISK = 2
-
-JOBS_ENV_VAR = "LOOPSCOPE_JOBS"
 
 
 @dataclass
@@ -45,7 +43,6 @@ class RunConfig:
     csv_path: str | None = None
     json_path: str | None = None
     params: dict[str, float] = field(default_factory=dict)
-    jobs: int | None = None
     stamp: bool = False
 
 
@@ -54,6 +51,23 @@ def _spice_float(text: str) -> float:
         return parse_value(text)
     except NetlistError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _gmin(text: str) -> float:
+    value = _spice_float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _param_override(text: str) -> tuple[str, float]:
@@ -89,11 +103,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="sweep stop frequency in Hz (default 10G)")
     ap.add_argument("--ppd", type=int, default=100,
                     help="grid points per decade (default 100)")
-    ap.add_argument("--floor", type=float, default=PEAK_FLOOR_DEFAULT,
+    ap.add_argument("--floor", type=_positive_float, default=PEAK_FLOOR_DEFAULT,
                     help="peak detection floor on |P| (default 0.1)")
-    ap.add_argument("--gap", type=float, default=REL_GAP_DEFAULT,
+    ap.add_argument("--gap", type=_positive_float, default=REL_GAP_DEFAULT,
                     help="relative frequency gap for loop grouping (default 0.05)")
-    ap.add_argument("--gmin", type=_spice_float, default=GMIN_DEFAULT,
+    ap.add_argument("--gmin", type=_gmin, default=GMIN_DEFAULT,
                     help="node-to-ground conductance for solvability (default 1e-12)")
     ap.add_argument("--out", dest="out_path", metavar="PATH",
                     help="write the text report here instead of stdout")
@@ -104,9 +118,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--param", dest="params", metavar="NAME=VALUE",
                     type=_param_override, action="append", default=[],
                     help="override a .param value (repeatable)")
-    ap.add_argument("--jobs", type=int, default=None,
-                    help=f"parallel node sweeps (default: ${JOBS_ENV_VAR} "
-                         "or the available CPU count)")
     ap.add_argument("--stamp", action="store_true",
                     help="include a generation timestamp in the text report")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -114,20 +125,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env and env.isdigit():
-            jobs = int(env)
-        else:
-            jobs = os.cpu_count() or 1
     return RunConfig(netlist_path=args.netlist, node=args.node,
                      all_nodes=args.all_nodes, node_filter=args.node_filter,
                      f_start=args.fstart, f_stop=args.fstop, ppd=args.ppd,
                      floor=args.floor, rel_gap=args.gap, gmin=args.gmin,
                      out_path=args.out_path, csv_path=args.csv_path,
                      json_path=args.json_path, params=dict(args.params),
-                     jobs=jobs, stamp=args.stamp)
+                     stamp=args.stamp)
 
 
 def run(config: RunConfig) -> int:
@@ -140,22 +144,21 @@ def run(config: RunConfig) -> int:
         return EXIT_ERROR
 
     try:
+        grid = make_grid(config.f_start, config.f_stop, config.ppd)
         parsed = parse(source)
         for name, value in config.params.items():
             parsed.params[name] = value
         net = elaborate(parsed)
-        grid = make_grid(config.f_start, config.f_stop, config.ppd)
 
         curves = []
         peaks = []
         errors: dict[str, str] = {}
         if config.node is not None:
-            pattern = build_pattern(net)
-            responses = [inject_node(net, pattern, config.node, grid,
-                                     gmin=config.gmin)]
+            pattern = build_pattern(net, gmin=config.gmin)
+            responses = [inject_node(pattern, config.node, grid)]
         else:
             swept = sweep_all_nodes(net, grid, node_filter=config.node_filter,
-                                    gmin=config.gmin, jobs=config.jobs)
+                                    gmin=config.gmin)
             responses = swept.responses
             errors = swept.errors
         for resp in responses:
@@ -171,6 +174,16 @@ def run(config: RunConfig) -> int:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    if not responses:
+        # Nothing was analysed, so "no loops" would be a false all-clear.
+        if errors:
+            reason = f"all {len(errors)} swept node(s) failed to solve"
+        elif config.node_filter is not None:
+            reason = f"no node matches --filter {config.node_filter!r}"
+        else:
+            reason = "the netlist has no non-ground node"
+        print(f"loopscope: error: no node analysed: {reason}", file=sys.stderr)
+        return EXIT_ERROR
     if report.worst_severity is Severity.UNSTABLE_RISK:
         return EXIT_UNSTABLE_RISK
     return EXIT_OK

@@ -6,18 +6,19 @@ VCVS, CCVS) and for inductors, which are stamped in branch form
 
     V_a - V_b - jwL * I_L = 0
 
-so the w -> 0 limit stays finite.  The stamp pattern depends only on
-topology and element values, never on frequency; assembly fills a dense
-complex matrix for one angular frequency at a time.
+so the w -> 0 limit stays finite.  Every stamp is either real or a
+multiple of jw, so the system matrix splits into two real matrices built
+once per netlist, Y(w) = G + jw*C.
 
 A small conductance (gmin) from every node to ground keeps nearly
-floating nodes solvable, matching common simulator practice.
+floating nodes solvable, matching common simulator practice; it is
+folded into G.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,35 +50,19 @@ class SingularSystem(MnaError):
             msg += f" (omega={omega:g} rad/s)"
         super().__init__(msg)
 
-    def with_omega(self, omega: float) -> "SingularSystem":
-        return SingularSystem(self.label, omega)
-
-
-@dataclass(frozen=True)
-class _Stamp:
-    row: int
-    col: int
-    weight: float
-    jomega: bool  # True: contributes jw*weight, False: contributes weight
-
-
-@dataclass(frozen=True)
-class _SourceTerm:
-    row: int
-    value: float  # AC magnitude contribution, phase 0
-
 
 @dataclass
 class MnaPattern:
-    """Frequency-independent stamp pattern for one elaborated netlist."""
+    """Frequency-independent MNA matrices for one elaborated netlist:
+    Y(w) = G + jw*C, with gmin already on G's node diagonal."""
 
     n_nodes: int
     dim: int
     node_rows: dict[str, int]        # lowercased node name -> matrix row
     branch_map: dict[str, int]       # lowercased element name -> branch row
     labels: list[str]                # per unknown: node name or "I(elem)"
-    stamps: list[_Stamp] = field(default_factory=list)
-    source_terms: list[_SourceTerm] = field(default_factory=list)
+    G: np.ndarray                    # real part of Y(w), gmin included
+    C: np.ndarray                    # coefficient of jw in Y(w)
 
     def row_of_node(self, node: str) -> int:
         try:
@@ -86,37 +71,9 @@ class MnaPattern:
             raise UnknownNode(f"unknown node {node!r}") from None
 
 
-@dataclass(frozen=True)
-class InjectionSpec:
-    """Right-hand-side selector: either a unit-style current injected into
-    one node (all independent sources zeroed), or the netlist's own AC
-    source values."""
-
-    node: str | None = None
-    current: float = 1.0
-
-    @classmethod
-    def at_node(cls, node: str, current: float = 1.0) -> "InjectionSpec":
-        return cls(node=node, current=current)
-
-    @classmethod
-    def source_drive(cls) -> "InjectionSpec":
-        return cls(node=None)
-
-    @property
-    def is_node_injection(self) -> bool:
-        return self.node is not None
-
-
-@dataclass
-class ComplexSolution:
-    x: np.ndarray
-    omega: float | None = None
-    residual: float = 0.0
-
-
-def build_pattern(net: Netlist) -> MnaPattern:
-    """Build the MNA stamp pattern; requires an elaborated netlist."""
+def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
+    """Build G and C for an elaborated netlist with every independent
+    source zeroed (V sources short, I sources open)."""
     if not net.is_flat:
         raise MnaError("netlist must be elaborated before building an MNA pattern")
 
@@ -131,15 +88,20 @@ def build_pattern(net: Netlist) -> MnaPattern:
             branch_map[elem.name.lower()] = n_nodes + len(branch_map)
             labels.append(f"I({elem.name})")
 
-    pattern = MnaPattern(n_nodes=n_nodes, dim=n_nodes + len(branch_map),
-                         node_rows=node_rows, branch_map=branch_map, labels=labels)
+    dim = n_nodes + len(branch_map)
+    G = np.zeros((dim, dim))
+    C = np.zeros((dim, dim))
 
     def row(node_name: str) -> int:
         return -1 if node_name == "0" else node_rows[node_name.lower()]
 
-    def put(r: int, c: int, w: float, jomega: bool = False):
+    def put(r: int, c: int, w: float, M: np.ndarray = G):
         if r >= 0 and c >= 0:
-            pattern.stamps.append(_Stamp(r, c, w, jomega))
+            M[r, c] += w
+
+    def branch(a: int, b: int, k: int):
+        put(a, k, 1.0); put(b, k, -1.0)
+        put(k, a, 1.0); put(k, b, -1.0)
 
     for elem in net.elements:
         a = row(elem.nodes[0])
@@ -151,31 +113,19 @@ def build_pattern(net: Netlist) -> MnaPattern:
             g = 1.0 / val
             put(a, a, g); put(b, b, g); put(a, b, -g); put(b, a, -g)
         elif kind is ElementKind.CAPACITOR:
-            put(a, a, val, True); put(b, b, val, True)
-            put(a, b, -val, True); put(b, a, -val, True)
+            put(a, a, val, C); put(b, b, val, C)
+            put(a, b, -val, C); put(b, a, -val, C)
         elif kind is ElementKind.INDUCTOR:
             k = branch_map[elem.name.lower()]
-            put(a, k, 1.0); put(b, k, -1.0)
-            put(k, a, 1.0); put(k, b, -1.0)
-            put(k, k, -val, True)
+            branch(a, b, k)
+            put(k, k, -val, C)
         elif kind is ElementKind.VSOURCE:
-            k = branch_map[elem.name.lower()]
-            put(a, k, 1.0); put(b, k, -1.0)
-            put(k, a, 1.0); put(k, b, -1.0)
-            pattern.source_terms.append(_SourceTerm(k, elem.ac_magnitude))
-        elif kind is ElementKind.ISOURCE:
-            # Positive current flows from the first node through the source
-            # to the second.
-            if a >= 0:
-                pattern.source_terms.append(_SourceTerm(a, -elem.ac_magnitude))
-            if b >= 0:
-                pattern.source_terms.append(_SourceTerm(b, elem.ac_magnitude))
+            branch(a, b, branch_map[elem.name.lower()])
         elif kind is ElementKind.VCVS:
             k = branch_map[elem.name.lower()]
             c = row(elem.nodes[2])
             d = row(elem.nodes[3])
-            put(a, k, 1.0); put(b, k, -1.0)
-            put(k, a, 1.0); put(k, b, -1.0)
+            branch(a, b, k)
             put(k, c, -val); put(k, d, val)
         elif kind is ElementKind.VCCS:
             c = row(elem.nodes[2])
@@ -188,10 +138,13 @@ def build_pattern(net: Netlist) -> MnaPattern:
         elif kind is ElementKind.CCVS:
             k = branch_map[elem.name.lower()]
             kc = _control_branch(branch_map, elem.control_element, elem.name)
-            put(a, k, 1.0); put(b, k, -1.0)
-            put(k, a, 1.0); put(k, b, -1.0)
+            branch(a, b, k)
             put(k, kc, -val)
-    return pattern
+    if gmin:
+        idx = np.arange(n_nodes)
+        G[idx, idx] += gmin
+    return MnaPattern(n_nodes=n_nodes, dim=dim, node_rows=node_rows,
+                      branch_map=branch_map, labels=labels, G=G, C=C)
 
 
 def _control_branch(branch_map: dict[str, int], ctrl: str | None, owner: str) -> int:
@@ -200,34 +153,8 @@ def _control_branch(branch_map: dict[str, int], ctrl: str | None, owner: str) ->
     return branch_map[ctrl.lower()]
 
 
-def assemble(pattern: MnaPattern, omega: float, injection: InjectionSpec,
-             gmin: float = GMIN_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
-    """Fill Y(omega) and b for one frequency.
-
-    Node-injection runs force every independent source to zero AC value
-    first (V sources become shorts, I sources open), then place the
-    injected current on the node row with the into-the-node sign.
-    """
-    if omega <= 0:
-        raise MnaError("omega must be > 0")
-    Y = np.zeros((pattern.dim, pattern.dim), dtype=np.complex128)
-    b = np.zeros(pattern.dim, dtype=np.complex128)
-    jw = 1j * omega
-    for st in pattern.stamps:
-        Y[st.row, st.col] += jw * st.weight if st.jomega else st.weight
-    if gmin:
-        idx = np.arange(pattern.n_nodes)
-        Y[idx, idx] += gmin
-    if injection.is_node_injection:
-        b[pattern.row_of_node(injection.node)] += injection.current
-    else:
-        for term in pattern.source_terms:
-            b[term.row] += term.value
-    return Y, b
-
-
 def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
-          omega: float | None = None) -> ComplexSolution:
+          omega: float | None = None) -> np.ndarray:
     """Dense LU solve with partial pivoting and a residual guarantee of
     ||Yx - b||_inf <= 1e-9 ||b||_inf (one refinement step if needed)."""
     dim = Y.shape[0]
@@ -257,4 +184,4 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
     if not np.all(np.isfinite(x)) or (bnorm and rnorm > _RESIDUAL_RTOL * bnorm):
         worst = int(np.argmax(np.abs(resid)))
         raise SingularSystem(label(worst), omega)
-    return ComplexSolution(x=x, omega=omega, residual=rnorm)
+    return x

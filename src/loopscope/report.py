@@ -38,7 +38,7 @@ class LoopGroup:
     label_freq: float              # Hz, from the member with the deepest peak
     members: list[Peak]            # sorted by descending |p_value|
     worst_zeta: float | None       # min zeta over gradable members
-    worst_node: str
+    worst_node: str                # min-zeta gradable member, else the deepest
     severity: Severity | None      # worst gradable member severity
 
     @property
@@ -86,12 +86,12 @@ def _make_group(cluster: list[Peak]) -> LoopGroup:
     members = sorted(cluster, key=lambda pk: (-abs(pk.p_value), pk.node))
     deepest = members[0]
     gradable = [m for m in members if m.gradable and m.zeta is not None]
-    worst_zeta = min((m.zeta for m in gradable), default=None)
+    worst = min(gradable, key=lambda m: m.zeta, default=None)
     severities = [m.severity for m in gradable if m.severity is not None]
     return LoopGroup(label_freq=deepest.natural_freq,
                      members=members,
-                     worst_zeta=worst_zeta,
-                     worst_node=deepest.node,
+                     worst_zeta=worst.zeta if worst else None,
+                     worst_node=(worst or deepest).node,
                      severity=min(severities) if severities else None)
 
 

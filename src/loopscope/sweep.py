@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mna import GMIN_DEFAULT, InjectionSpec, MnaPattern, SingularSystem, assemble, build_pattern, solve
+from .mna import GMIN_DEFAULT, MnaPattern, SingularSystem, build_pattern, solve
 from .netlist import Netlist
 
 #: Lower clamp applied to |V| before logs; clamped points are flagged and
@@ -29,6 +28,9 @@ MAGNITUDE_FLOOR = 1e-300
 #: back as ~1e-13 of scale noise); such points are clamped and flagged so
 #: the log-curvature analysis never differentiates numerical noise.
 NOISE_FLOOR_REL = 1e-11
+
+#: Largest grid make_grid builds; each point costs one solve per node.
+MAX_GRID_POINTS = 1_000_000
 
 
 class BadRange(Exception):
@@ -66,8 +68,11 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
         raise BadRange(f"need 0 < f_start < f_stop, got {f_start!r}, {f_stop!r}")
     if points_per_decade < 10:
         raise BadRange(f"points_per_decade must be >= 10, got {points_per_decade!r}")
-    decades = math.log10(f_stop / f_start)
-    n = int(round(points_per_decade * decades)) + 1
+    span = points_per_decade * math.log10(f_stop / f_start)
+    if not span <= MAX_GRID_POINTS - 1:  # also rejects an infinite span
+        raise BadRange(f"grid would exceed {MAX_GRID_POINTS} points; lower "
+                       "points_per_decade or narrow the frequency range")
+    n = int(round(span)) + 1
     if n < 2:
         raise BadRange("frequency range too narrow for this grid density")
     lnf = np.linspace(math.log(f_start), math.log(f_stop), n)
@@ -88,27 +93,25 @@ class NodeResponse:
     clamped: np.ndarray          # bool, True where the floor kicked in
 
 
-def inject_node(net: Netlist, pattern: MnaPattern, node: str, grid: FrequencyGrid,
-                current: float = 1.0, gmin: float = GMIN_DEFAULT) -> NodeResponse:
-    """Sweep one node: assemble and solve at every grid frequency with the
+def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid,
+                current: float = 1.0) -> NodeResponse:
+    """Sweep one node: solve Y(w) x = b at every grid frequency with the
     AC current injected into ``node`` and all sources zeroed."""
     row = pattern.row_of_node(node)
-    injection = InjectionSpec.at_node(node, current)
+    b = np.zeros(pattern.dim, dtype=np.complex128)
+    b[row] = current
     n = len(grid)
     magnitude = np.empty(n)
     phase = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
     for i in range(n):
         omega = 2.0 * math.pi * grid.freqs[i]
-        Y, b = assemble(pattern, omega, injection, gmin=gmin)
-        try:
-            sol = solve(Y, b, labels=pattern.labels, omega=omega)
-        except SingularSystem as exc:
-            raise exc.with_omega(omega) from None
-        v = sol.x[row]
+        x = solve(pattern.G + 1j * omega * pattern.C, b,
+                  labels=pattern.labels, omega=omega)
+        v = x[row]
         magnitude[i] = abs(v)
         phase[i] = np.angle(v)
-        if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(sol.x))):
+        if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x))):
             clamped[i] = True
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR
@@ -127,44 +130,17 @@ class AllNodesSweep:
 
 def sweep_all_nodes(net: Netlist, grid: FrequencyGrid,
                     node_filter: str | None = None,
-                    current: float = 1.0, gmin: float = GMIN_DEFAULT,
-                    jobs: int | None = None) -> AllNodesSweep:
-    """Inject at every non-ground node (optionally glob-filtered).
-
-    Node order follows the netlist node table regardless of `jobs`; the
-    per-node solves share only immutable state, so results do not depend
-    on scheduling.
-    """
-    pattern = build_pattern(net)
-    targets = [n for n in net.nodes.non_ground()
-               if node_filter is None
-               or fnmatch.fnmatchcase(n.lower(), node_filter.lower())]
-
-    def run_one(node: str):
-        return inject_node(net, pattern, node, grid, current=current, gmin=gmin)
-
+                    current: float = 1.0, gmin: float = GMIN_DEFAULT) -> AllNodesSweep:
+    """Inject at every non-ground node (optionally glob-filtered), in
+    netlist node-table order."""
+    pattern = build_pattern(net, gmin=gmin)
     result = AllNodesSweep()
-    if jobs is not None and jobs > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(node, pool.submit(run_one, node)) for node in targets]
-            outcomes = [(node, fut) for node, fut in futures]
-    else:
-        outcomes = [(node, _Immediate(run_one, node)) for node in targets]
-
-    for node, fut in outcomes:
+    for node in net.nodes.non_ground():
+        if (node_filter is not None
+                and not fnmatch.fnmatchcase(node.lower(), node_filter.lower())):
+            continue
         try:
-            result.responses.append(fut.result())
+            result.responses.append(inject_node(pattern, node, grid, current=current))
         except SingularSystem as exc:
             result.errors[node] = str(exc)
     return result
-
-
-class _Immediate:
-    """Future-shaped wrapper for the serial path."""
-
-    def __init__(self, fn, *args):
-        self._fn = fn
-        self._args = args
-
-    def result(self):
-        return self._fn(*self._args)

@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from loopscope.cli import main
 
 import circuits
+
+CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
 
 
 def write(tmp_path, name, text):
@@ -70,6 +73,53 @@ def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([path])  # neither --node nor --all-nodes
     assert exc.value.code == 1
+
+
+def test_every_node_singular_is_not_clean(tmp_path, capsys):
+    # Two ideal sources in parallel make Y singular for every injection.
+    src = "t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n"
+    path = write(tmp_path, "bad.cir", src)
+    code, _, err = run_cli(capsys, path, "--all-nodes", "--fstart", "10",
+                           "--fstop", "1k", "--ppd", "10")
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "no node analysed: all 2 swept node(s) failed to solve" in err
+
+
+def test_filter_matching_no_node_is_not_clean(capsys):
+    code, out, err = run_cli(capsys, str(CIRCUITS_DIR / "rlc_loop.cir"),
+                             "--all-nodes", "--filter", "zz*")
+    assert code == 1
+    assert err == "loopscope: error: no node analysed: no node matches --filter 'zz*'\n"
+
+
+def test_netlist_without_nodes_is_not_clean(tmp_path, capsys):
+    path = write(tmp_path, "empty.cir", "t\nR1 0 gnd 1k\n.end\n")
+    code, _, err = run_cli(capsys, path, "--all-nodes")
+    assert code == 1
+    assert "no node analysed: the netlist has no non-ground node" in err
+
+
+@pytest.mark.parametrize("option,value,bound", [
+    ("--floor", "nan", "> 0"), ("--floor", "-1", "> 0"), ("--floor", "inf", "> 0"),
+    ("--gap", "-2", "> 0"), ("--gap", "0", "> 0"), ("--gap", "x", "> 0"),
+    ("--gmin", "-1", ">= 0"), ("--gmin", "1e400", ">= 0"),
+])
+def test_bad_numeric_option_is_a_usage_error(capsys, option, value, bound):
+    with pytest.raises(SystemExit) as exc:
+        main([str(CIRCUITS_DIR / "rlc_loop.cir"), "--all-nodes", option, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a finite number {bound}, got {value!r}" in err
+
+
+def test_oversized_grid_is_rejected_before_sweeping(capsys):
+    # 1e8 points/decade over the default 10 decades would be 1e9 points.
+    code, out, err = run_cli(capsys, str(CIRCUITS_DIR / "rlc_loop.cir"),
+                             "--all-nodes", "--ppd", "100000000")
+    assert code == 1
+    assert out == ""
+    assert "exceed 1000000 points" in err
 
 
 def test_unknown_node_exits_1(tmp_path, capsys):
@@ -147,15 +197,6 @@ def test_filter_limits_nodes(tmp_path, capsys):
     assert nodes and all(n.startswith("X1.") for n in nodes)
 
 
-def test_jobs_parallel_matches_serial(tmp_path, capsys):
-    path = write(tmp_path, "blocks.cir", circuits.two_block())
-    args = [path, "--all-nodes", "--fstart", "50", "--fstop", "50meg",
-            "--ppd", "30"]
-    _, serial, _ = run_cli(capsys, *args, "--jobs", "1")
-    _, parallel, _ = run_cli(capsys, *args, "--jobs", "4")
-    assert serial == parallel
-
-
 def test_spice_suffixes_accepted_on_frequency_flags(tmp_path, capsys):
     path = write(tmp_path, "div.cir", circuits.resistive_divider())
     code, out, _ = run_cli(capsys, path, "--all-nodes",
@@ -177,9 +218,10 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     src = "t\nV1 a 0 AC 0\nV2 a 0 AC 0\nR1 a 0 1k\n.end\n"
     path = write(tmp_path, "bad.cir", src)
     args = ["--all-nodes", "--fstart", "10", "--fstop", "1k", "--ppd", "10"]
-    code, out, _ = run_cli(capsys, path, *args)
-    assert code == 0
+    code, out, err = run_cli(capsys, path, *args)
+    assert code == 1  # no node was analysed, so the audit is not clean
     assert "excluded" in out and "singular" in out.lower()
+    assert "no node analysed" in err
     # but asking for curve CSV with nothing swept is an error
     code, _, err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"))
     assert code == 1

@@ -1,69 +1,118 @@
-"""MNA assembly and solver tests, checked against closed-form impedances."""
+"""MNA matrix and solver tests, checked against closed-form impedances."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from loopscope.mna import (
-    InjectionSpec,
     MnaError,
     SingularSystem,
     UnknownNode,
-    assemble,
     build_pattern,
     solve,
 )
 from loopscope.netlist import elaborate, parse
+from loopscope.report import build_report
+from loopscope.stability import analyze_response
+from loopscope.sweep import make_grid, sweep_all_nodes
 
 import circuits
+
+CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
 
 
 def _net(src):
     return elaborate(parse(src))
 
 
-def _solve_node(net, node, omega, injection=None, gmin=1e-12):
-    pattern = build_pattern(net)
-    injection = injection or InjectionSpec.at_node(node)
-    Y, b = assemble(pattern, omega, injection, gmin=gmin)
-    sol = solve(Y, b, labels=pattern.labels, omega=omega)
-    return sol.x[pattern.row_of_node(node)]
+def _inject(pattern, node, omega, current=1.0):
+    """Full solution vector with ``current`` injected into ``node``."""
+    b = np.zeros(pattern.dim, dtype=complex)
+    b[pattern.row_of_node(node)] = current
+    return solve(pattern.G + 1j * omega * pattern.C, b,
+                 labels=pattern.labels, omega=omega)
+
+
+def _solve_node(net, node, omega, gmin=1e-12):
+    pattern = build_pattern(net, gmin=gmin)
+    return _inject(pattern, node, omega)[pattern.row_of_node(node)]
 
 
 # ---------------------------------------------------------------------------
-# pattern building
+# G and C stamps
 # ---------------------------------------------------------------------------
 
 def test_single_resistor_pattern():
     net = _net("t\nR1 a 0 1k\n.end\n")
-    pattern = build_pattern(net)
+    pattern = build_pattern(net, gmin=0.0)
     assert pattern.n_nodes == 1
     assert pattern.dim == 1
-    Y, b = assemble(pattern, omega=1.0, injection=InjectionSpec.at_node("a"), gmin=0.0)
-    assert Y[0, 0] == pytest.approx(1e-3)
-    assert b[0] == 1.0
+    assert pattern.G[0, 0] == pytest.approx(1e-3)
+    assert not pattern.C.any()
 
 
 def test_single_vsource_pattern():
     net = _net("t\nV1 a 0 AC 2\n.end\n")
-    pattern = build_pattern(net)
+    pattern = build_pattern(net, gmin=0.0)
     assert pattern.dim == 2  # one node plus one branch current
-    Y, b = assemble(pattern, omega=1.0, injection=InjectionSpec.source_drive(), gmin=0.0)
-    assert Y[0, 1] == 1.0 and Y[1, 0] == 1.0
-    assert b[1] == 2.0
+    assert pattern.G[0, 1] == 1.0 and pattern.G[1, 0] == 1.0
+    # Sources are zeroed: the AC value appears nowhere in the matrices.
+    zeroed = build_pattern(_net("t\nV1 a 0 AC 0\n.end\n"), gmin=0.0)
+    assert np.array_equal(pattern.G, zeroed.G)
+    assert np.array_equal(pattern.C, zeroed.C)
 
 
 def test_vccs_stamps():
     net = _net("t\nG1 a b c d 5m\nR1 a 0 1\nR2 b 0 1\nR3 c 0 1\nR4 d 0 1\n.end\n")
-    pattern = build_pattern(net)
-    Y, _ = assemble(pattern, omega=1.0, injection=InjectionSpec.at_node("a"), gmin=0.0)
+    pattern = build_pattern(net, gmin=0.0)
+    G = pattern.G
     ia, ib, ic, id_ = (pattern.row_of_node(n) for n in "abcd")
     gm = 5e-3
-    assert Y[ia, ic] == pytest.approx(gm)
-    assert Y[ib, id_] == pytest.approx(gm)
-    assert Y[ia, id_] == pytest.approx(-gm)
-    assert Y[ib, ic] == pytest.approx(-gm)
+    assert G[ia, ic] == pytest.approx(gm)
+    assert G[ib, id_] == pytest.approx(gm)
+    assert G[ia, id_] == pytest.approx(-gm)
+    assert G[ib, ic] == pytest.approx(-gm)
+
+
+def test_reactive_stamps_land_in_c():
+    net = _net("t\nC1 a b 2n\nL1 b 0 3u\nR1 a 0 1k\n.end\n")
+    pattern = build_pattern(net, gmin=0.0)
+    ia, ib = pattern.row_of_node("a"), pattern.row_of_node("b")
+    k = pattern.branch_map["l1"]
+    expected_c = np.zeros((pattern.dim, pattern.dim))
+    expected_c[ia, ia] = expected_c[ib, ib] = 2e-9
+    expected_c[ia, ib] = expected_c[ib, ia] = -2e-9
+    expected_c[k, k] = -3e-6
+    assert np.array_equal(pattern.C, expected_c)
+    # The inductor's incidence entries are real and live in G.
+    assert pattern.G[ib, k] == 1.0 and pattern.G[k, ib] == 1.0
+
+
+def test_controlled_voltage_and_current_source_stamps():
+    net = _net("t\nV1 s 0 AC 0\nR0 s 0 1\nE1 a 0 c 0 2.0\nF1 b 0 V1 3.0\n"
+               "H1 d 0 V1 50\nR1 a 0 1\nR2 b 0 1\nR3 c 0 1\nR4 d 0 1\n.end\n")
+    pattern = build_pattern(net, gmin=0.0)
+    G = pattern.G
+    kv, ke, kh = (pattern.branch_map[n] for n in ("v1", "e1", "h1"))
+    ia, ib, ic, id_ = (pattern.row_of_node(n) for n in "abcd")
+    assert G[ke, ia] == 1.0 and G[ia, ke] == 1.0 and G[ke, ic] == -2.0
+    assert G[ib, kv] == 3.0
+    assert G[kh, id_] == 1.0 and G[id_, kh] == 1.0 and G[kh, kv] == -50.0
+    assert not pattern.C.any()
+
+
+def test_gmin_folded_into_node_diagonal():
+    src = "t\nR1 a b 1k\nL1 b 0 1m\n.end\n"
+    bare = build_pattern(_net(src), gmin=0.0)
+    with_gmin = build_pattern(_net(src), gmin=1e-9)
+    nodes = np.arange(bare.n_nodes)  # branch rows get no gmin
+    expected = bare.G.copy()
+    expected[nodes, nodes] += 1e-9
+    assert np.array_equal(with_gmin.G, expected)
+    assert np.array_equal(with_gmin.C, bare.C)
 
 
 def test_pattern_requires_flat_netlist():
@@ -72,18 +121,11 @@ def test_pattern_requires_flat_netlist():
         build_pattern(net)
 
 
-def test_assemble_rejects_nonpositive_omega():
-    net = _net("t\nR1 a 0 1k\n.end\n")
-    pattern = build_pattern(net)
-    with pytest.raises(MnaError):
-        assemble(pattern, 0.0, InjectionSpec.at_node("a"))
-
-
 def test_unknown_injection_node():
     net = _net("t\nR1 a 0 1k\n.end\n")
     pattern = build_pattern(net)
     with pytest.raises(UnknownNode):
-        assemble(pattern, 1.0, InjectionSpec.at_node("zz"))
+        _inject(pattern, "zz", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +155,10 @@ def test_zeroed_vsource_is_a_short():
     net = _net("t\nV1 a b AC 0\nR1 b 0 1k\n.end\n")
     va = _solve_node(net, "a", omega=100.0, gmin=0.0)
     net2 = _net("t\nV1 a b AC 7\nR1 b 0 1k\n.end\n")
-    pattern = build_pattern(net2)
-    Y, bb = assemble(pattern, 100.0, InjectionSpec.at_node("a"), gmin=0.0)
-    sol = solve(Y, bb, labels=pattern.labels)
-    v_a = sol.x[pattern.row_of_node("a")]
-    v_b = sol.x[pattern.row_of_node("b")]
+    pattern = build_pattern(net2, gmin=0.0)
+    x = _inject(pattern, "a", 100.0)
+    v_a = x[pattern.row_of_node("a")]
+    v_b = x[pattern.row_of_node("b")]
     assert v_a == pytest.approx(v_b, rel=1e-12)  # branch forces V_a - V_b = 0
     assert v_a == pytest.approx(va, rel=1e-12)   # AC value irrelevant when injecting
 
@@ -126,17 +167,16 @@ def test_identity_solve():
     Y = np.eye(4, dtype=complex)
     b = np.zeros(4, dtype=complex)
     b[2] = 1.0
-    sol = solve(Y, b)
-    assert np.allclose(sol.x, b)
+    assert np.allclose(solve(Y, b), b)
 
 
 def test_floating_node_without_gmin_names_the_node():
     net = _net("t\nI1 0 a 1\nR1 b 0 1k\n.end\n")
-    pattern = build_pattern(net)
-    Y, b = assemble(pattern, 1e3, InjectionSpec.at_node("a"), gmin=0.0)
+    pattern = build_pattern(net, gmin=0.0)
     with pytest.raises(SingularSystem) as err:
-        solve(Y, b, labels=pattern.labels)
+        _inject(pattern, "a", 1e3)
     assert err.value.label == "a"
+    assert err.value.omega == 1e3
 
 
 def test_floating_node_with_gmin_solves():
@@ -151,10 +191,9 @@ def test_random_complex_system_residual():
     Y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
          + 10.0 * np.eye(n))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sol = solve(Y, b)
-    resid = np.max(np.abs(b - Y @ sol.x))
+    x = solve(Y, b)
+    resid = np.max(np.abs(b - Y @ x))
     assert resid <= 1e-9 * np.max(np.abs(b))
-    assert sol.residual <= 1e-9 * np.max(np.abs(b))
 
 
 def test_reciprocity_for_rlc_network():
@@ -171,10 +210,8 @@ C2 a 0 100n
     pattern = build_pattern(net)
     for f in (10.0, 320.0, 1e4, 1e6):
         omega = 2 * math.pi * f
-        Yi, bi = assemble(pattern, omega, InjectionSpec.at_node("a"))
-        xi = solve(Yi, bi, labels=pattern.labels).x
-        Yj, bj = assemble(pattern, omega, InjectionSpec.at_node("c"))
-        xj = solve(Yj, bj, labels=pattern.labels).x
+        xi = _inject(pattern, "a", omega)
+        xj = _inject(pattern, "c", omega)
         v_c_from_a = xi[pattern.row_of_node("c")]
         v_a_from_c = xj[pattern.row_of_node("a")]
         assert v_c_from_a == pytest.approx(v_a_from_c, rel=1e-8)
@@ -184,10 +221,8 @@ def test_linearity_in_injected_current():
     net = _net(circuits.passive_rlc_loop(0.3))
     pattern = build_pattern(net)
     omega = 2 * math.pi * 5e3
-    Y1, b1 = assemble(pattern, omega, InjectionSpec.at_node("n2", current=1.0))
-    Y2, b2 = assemble(pattern, omega, InjectionSpec.at_node("n2", current=12.5))
-    x1 = solve(Y1, b1).x
-    x2 = solve(Y2, b2).x
+    x1 = _inject(pattern, "n2", omega, current=1.0)
+    x2 = _inject(pattern, "n2", omega, current=12.5)
     assert np.allclose(x2, 12.5 * x1, rtol=1e-12, atol=0)
 
 
@@ -196,11 +231,10 @@ def test_inductor_branch_form_matches_admittance_form():
     # solution must match a hand-built admittance-form system 1/(jwL).
     r, l = 100.0, 1e-3
     net = _net(f"t\nR1 a b {r!r}\nL1 b 0 {l!r}\n.end\n")
-    pattern = build_pattern(net)
+    pattern = build_pattern(net, gmin=0.0)
     for f in (10.0, 1e3, 1e6):
         omega = 2 * math.pi * f
-        Y, b = assemble(pattern, omega, InjectionSpec.at_node("a"), gmin=0.0)
-        x = solve(Y, b, labels=pattern.labels).x
+        x = _inject(pattern, "a", omega)
         g = 1.0 / r
         yl = 1.0 / (1j * omega * l)
         Yref = np.array([[g, -g], [-g, g + yl]], dtype=complex)
@@ -228,6 +262,38 @@ R5 e 0 1k
 """
     net = _net(src)
     pattern = build_pattern(net)
-    Y, b = assemble(pattern, 2 * math.pi * 1e3, InjectionSpec.at_node("a"))
-    x = solve(Y, b, labels=pattern.labels)
-    assert np.all(np.isfinite(x.x))
+    x = _inject(pattern, "a", 2 * math.pi * 1e3)
+    assert np.all(np.isfinite(x))
+
+
+# ---------------------------------------------------------------------------
+# exact poles of the pencil (G, C)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,f_exact,zeta_exact", [
+    ("opamp_buffer.cir", 11.26e6, 0.8128),
+    ("rlc_loop.cir", 5.033e3, 0.200),
+])
+def test_exact_poles_match_audited_loop(name, f_exact, zeta_exact):
+    # The natural frequencies of the circuit are the finite generalized
+    # eigenvalues s of G x = -s C x; each upper-half-plane one is a pole
+    # pair s = -zeta*wn + j*wn*sqrt(1 - zeta^2).
+    net = _net((CIRCUITS_DIR / name).read_text())
+    pattern = build_pattern(net)
+    eig = scipy.linalg.eigvals(-pattern.G, pattern.C)
+    pairs = [s for s in eig[np.isfinite(eig)] if s.imag > 0]
+    assert len(pairs) == 1
+    (s,) = pairs
+    f_pole = abs(s) / (2 * math.pi)
+    zeta_pole = -s.real / abs(s)
+    assert f_pole == pytest.approx(f_exact, rel=1e-3)
+    assert zeta_pole == pytest.approx(zeta_exact, rel=1e-3)
+
+    grid = make_grid()
+    peaks = []
+    for resp in sweep_all_nodes(net, grid).responses:
+        peaks.extend(analyze_response(resp)[1])
+    loops = [g for g in build_report(net.title, grid, peaks).groups
+             if abs(g.label_freq / f_pole - 1) <= 0.01]
+    assert len(loops) == 1
+    assert loops[0].worst_zeta == pytest.approx(zeta_pole, rel=0.02)

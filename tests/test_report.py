@@ -94,6 +94,23 @@ def test_group_worst_zeta_skips_flagged_members():
     assert only_flagged[0].severity is None
 
 
+def test_group_worst_node_is_min_zeta_gradable_member():
+    # The deepest peak is flagged, so it is neither graded nor the worst
+    # node; JSON and text must name the same member.
+    peaks = [pole("edge", -100.0, 1.0e6, flags={PeakFlag.END_OF_RANGE}),
+             pole("weak", -2.0, 1.01e6), pole("mid", -4.0, 1.02e6)]
+    (g,) = group_loops(peaks)
+    assert g.members[0].node == "edge"
+    assert g.worst_node == "mid"
+    report = build_report("t", GRID, peaks)
+    (doc_group,) = json.loads(render_json(report))["groups"]
+    assert doc_group["worst_node"] == "mid"
+    assert "(node mid)" in render_text(report)
+    only_flagged = group_loops([pole("edge", -100.0, 1e6,
+                                     flags={PeakFlag.END_OF_RANGE})])
+    assert only_flagged[0].worst_node == "edge"
+
+
 @given(freqs=st.lists(st.floats(min_value=1e2, max_value=1e9), min_size=1,
                       max_size=12),
        seed=st.integers(min_value=0, max_value=2**16))

@@ -9,6 +9,7 @@ from loopscope.mna import build_pattern
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curve
 from loopscope.sweep import (
+    MAX_GRID_POINTS,
     BadRange,
     inject_node,
     make_grid,
@@ -58,6 +59,21 @@ def test_grid_bad_ranges(fs, fe, ppd):
         make_grid(fs, fe, ppd)
 
 
+@pytest.mark.parametrize("fs,fe,ppd", [(1.0, 1e10, 100_000_000),
+                                       (1.0, 1e6, 166_667),
+                                       (1e-10, 1e308, 100)])
+def test_grid_rejects_more_than_max_points(fs, fe, ppd):
+    # Rejected from the requested size alone, before any allocation; the
+    # last case's span overflows to infinity.
+    with pytest.raises(BadRange, match="exceed"):
+        make_grid(fs, fe, ppd)
+
+
+def test_grid_just_below_max_points_is_accepted():
+    grid = make_grid(1.0, 1e6, 166_666)
+    assert MAX_GRID_POINTS - 3 == len(grid) == 999_997
+
+
 # ---------------------------------------------------------------------------
 # inject_node
 # ---------------------------------------------------------------------------
@@ -65,7 +81,7 @@ def test_grid_bad_ranges(fs, fe, ppd):
 def test_flat_resistive_response():
     net = _net("t\nR1 a 0 1k\nR2 a 0 1k\n.end\n")
     grid = make_grid(1.0, 1e6, 20)
-    resp = inject_node(net, build_pattern(net), "a", grid, gmin=0.0)
+    resp = inject_node(build_pattern(net, gmin=0.0), "a", grid)
     assert np.allclose(resp.magnitude, 500.0, rtol=1e-12)
     assert not resp.clamped.any()
 
@@ -74,7 +90,7 @@ def test_rc_response_matches_analytic_magnitude():
     r, c = 1e3, 1e-6
     net = _net(circuits.parallel_rc(r, c))
     grid = make_grid(1.0, 100e3, 50)
-    resp = inject_node(net, build_pattern(net), "a", grid, gmin=0.0)
+    resp = inject_node(build_pattern(net, gmin=0.0), "a", grid)
     f_pole = 1.0 / (2 * math.pi * r * c)
     expected = r / np.sqrt(1.0 + (grid.freqs / f_pole) ** 2)
     assert np.allclose(resp.magnitude, expected, rtol=1e-9)
@@ -89,11 +105,11 @@ def test_passive_loop_nodes_match_analytic_formulas():
     r = circuits.series_r_for(zeta)
     net = _net(circuits.passive_rlc_loop(zeta))
     grid = make_grid(50.0, 500e3, 30)
-    pattern = build_pattern(net)
+    pattern = build_pattern(net, gmin=0.0)
     s = 2j * math.pi * grid.freqs
     den = s * s * l * c + s * r * c + 1.0
     for node, num in [("n1", s * l * (1.0 + s * r * c)), ("n2", r + s * l)]:
-        resp = inject_node(net, pattern, node, grid, gmin=0.0)
+        resp = inject_node(pattern, node, grid)
         assert np.allclose(resp.magnitude, np.abs(num / den), rtol=1e-9), node
 
 
@@ -102,7 +118,7 @@ def test_response_finite_everywhere_with_gmin():
     grid = make_grid(1.0, 1e9, 30)
     pattern = build_pattern(net)
     for node in net.nodes.non_ground():
-        resp = inject_node(net, pattern, node, grid)
+        resp = inject_node(pattern, node, grid)
         assert np.all(np.isfinite(resp.magnitude))
         assert np.all(np.isfinite(resp.phase))
 
@@ -127,17 +143,16 @@ def test_all_nodes_filter_hierarchical():
     assert nodes and all(n.startswith("X1.") for n in nodes)
 
 
-def test_determinism_bitwise_and_parallel_equivalence():
+def test_determinism_bitwise():
     net = _net(circuits.two_block())
     grid = make_grid(50.0, 5e6, 40)
-    a = sweep_all_nodes(net, grid, jobs=1)
-    b = sweep_all_nodes(net, grid, jobs=4)
-    c = sweep_all_nodes(net, grid, jobs=4)
-    for ra, rb, rc in zip(a.responses, b.responses, c.responses):
-        assert ra.node == rb.node == rc.node
+    a = sweep_all_nodes(net, grid)
+    b = sweep_all_nodes(net, grid)
+    assert len(a.responses) == len(b.responses) == len(net.nodes.non_ground())
+    for ra, rb in zip(a.responses, b.responses):
+        assert ra.node == rb.node
         assert np.array_equal(ra.magnitude, rb.magnitude)
-        assert np.array_equal(rb.magnitude, rc.magnitude)
-        assert np.array_equal(rb.phase, rc.phase)
+        assert np.array_equal(ra.phase, rb.phase)
 
 
 def test_added_isource_changes_nothing_bitwise():
@@ -145,8 +160,8 @@ def test_added_isource_changes_nothing_bitwise():
     plus = _net(circuits.passive_rlc_loop(0.3).replace(
         ".end", "Iextra 0 n1 AC 3\n.end"))
     grid = make_grid(100.0, 1e5, 40)
-    ra = inject_node(base, build_pattern(base), "n2", grid)
-    rb = inject_node(plus, build_pattern(plus), "n2", grid)
+    ra = inject_node(build_pattern(base), "n2", grid)
+    rb = inject_node(build_pattern(plus), "n2", grid)
     assert np.array_equal(ra.magnitude, rb.magnitude)
 
 
@@ -158,8 +173,8 @@ def test_added_vsource_is_zeroed_during_injection():
     with_v0 = base.replace(".end", "Vextra probe n1 AC 0\nRp probe 0 1g\n.end")
     grid = make_grid(100.0, 1e5, 40)
     na, nb = _net(with_v), _net(with_v0)
-    ra = inject_node(na, build_pattern(na), "n2", grid)
-    rb = inject_node(nb, build_pattern(nb), "n2", grid)
+    ra = inject_node(build_pattern(na), "n2", grid)
+    rb = inject_node(build_pattern(nb), "n2", grid)
     assert np.allclose(ra.magnitude, rb.magnitude, rtol=1e-12)
 
 
@@ -167,8 +182,8 @@ def test_injection_scale_shifts_log_magnitude_only():
     net = _net(circuits.passive_rlc_loop(0.2))
     grid = make_grid(50.0, 500e3, 100)
     pattern = build_pattern(net)
-    r1 = inject_node(net, pattern, "n2", grid, current=1.0)
-    r10 = inject_node(net, pattern, "n2", grid, current=10.0)
+    r1 = inject_node(pattern, "n2", grid, current=1.0)
+    r10 = inject_node(pattern, "n2", grid, current=10.0)
     shift = np.log(r10.magnitude) - np.log(r1.magnitude)
     assert np.allclose(shift, math.log(10.0), atol=1e-12)
     p1 = stability_curve(r1).p
@@ -182,7 +197,7 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
     # clamped, never as wild curvature.
     net = _net(circuits.hierarchical_opamp_buffer())
     grid = make_grid(1e3, 1e9, 50)
-    resp = inject_node(net, build_pattern(net), "Xamp.eo", grid)
+    resp = inject_node(build_pattern(net), "Xamp.eo", grid)
     assert resp.clamped.all()
     curve = stability_curve(resp)
     assert np.all(curve.p == 0.0)
