@@ -64,7 +64,10 @@ def _positive_float(text: str) -> float:
 
 
 def _gmin(text: str) -> float:
-    value = _spice_float(text)
+    try:
+        value = parse_value(text)
+    except NetlistError:
+        value = math.nan
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
@@ -190,25 +193,32 @@ def run(config: RunConfig) -> int:
 
 
 def _emit(config: RunConfig, report: StabilityReport, curves, responses):
+    # Each output is rendered before its file is opened, so a render
+    # error leaves no empty file behind.
     text = render_text(report)
     if config.stamp:
         now = datetime.datetime.now().isoformat(timespec="seconds")
         text = f"generated {now}\n{text}"
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(config.out_path, text)
     else:
         sys.stdout.write(text)
     if config.csv_path:
-        with open(config.csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_curves_csv(curves, responses))
+        _write(config.csv_path, render_curves_csv(curves, responses), newline="")
     if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
+        _write(config.json_path, render_json(report))
+
+
+def _write(path: str, text: str, newline: str | None = None):
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if args.node_filter is not None and not args.all_nodes:
+        parser.error("--filter requires --all-nodes")
     return run(config_from_args(args))
 
 

@@ -13,15 +13,16 @@ once per netlist, Y(w) = G + jw*C.
 A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
 folded into G.
+
+Each frequency point is one dense complex solve with numpy.linalg (LU
+with partial pivoting), residual-checked and refined once if needed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .netlist import ElementKind, Netlist
 
@@ -164,21 +165,19 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
     def label(i: int) -> str:
         return labels[i] if labels and i < len(labels) else f"unknown #{i}"
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(Y)
-    diag = np.abs(np.diagonal(lu))
-    tiny = np.finfo(np.float64).tiny
-    bad = np.flatnonzero(diag < tiny)
-    if bad.size:
-        raise SingularSystem(label(int(bad[0])), omega)
-
-    x = scipy.linalg.lu_solve((lu, piv), b)
+    try:
+        x = np.linalg.solve(Y, b)
+    except np.linalg.LinAlgError:
+        # Name the first unknown whose column of Y depends on the earlier
+        # ones: the column where partial-pivoting LU met its zero pivot.
+        d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
+        dependent = d <= dim * np.finfo(np.float64).eps * d.max()
+        raise SingularSystem(label(int(np.argmax(dependent))), omega) from None
     bnorm = float(np.max(np.abs(b))) if dim else 0.0
     resid = b - Y @ x
     rnorm = float(np.max(np.abs(resid))) if dim else 0.0
     if bnorm and rnorm > _RESIDUAL_RTOL * bnorm:
-        x = x + scipy.linalg.lu_solve((lu, piv), resid)
+        x = x + np.linalg.solve(Y, resid)
         resid = b - Y @ x
         rnorm = float(np.max(np.abs(resid)))
     if not np.all(np.isfinite(x)) or (bnorm and rnorm > _RESIDUAL_RTOL * bnorm):

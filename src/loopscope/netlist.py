@@ -33,6 +33,7 @@ re-parses to the same circuit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,25 +121,28 @@ def parse_value(token: str) -> float:
     """Parse a SPICE numeric token like ``4.7k``, ``3meg`` or ``2.2uF``.
 
     Trailing unit letters are ignored only after a recognized magnitude
-    suffix; anything else after the numeral is an error.
+    suffix; anything else after the numeral is an error, and so is a
+    value that overflows to infinity.
     """
     m = _NUMBER_RE.match(token)
     if m is None:
         raise MalformedNumber(f"not a number: {token!r}")
     value = float(m.group(0))
     rest = token[m.end():]
-    if not rest:
-        return value
-    lower = rest.lower()
-    if lower.startswith("meg"):
-        mult, tail = 1e6, rest[3:]
-    elif lower[0] in _SUFFIXES:
-        mult, tail = _SUFFIXES[lower[0]], rest[1:]
-    else:
-        raise MalformedNumber(f"unrecognized suffix {rest!r} in {token!r}")
-    if tail and not tail.isalpha():
-        raise MalformedNumber(f"trailing garbage {tail!r} in {token!r}")
-    return value * mult
+    if rest:
+        lower = rest.lower()
+        if lower.startswith("meg"):
+            mult, tail = 1e6, rest[3:]
+        elif lower[0] in _SUFFIXES:
+            mult, tail = _SUFFIXES[lower[0]], rest[1:]
+        else:
+            raise MalformedNumber(f"unrecognized suffix {rest!r} in {token!r}")
+        if tail and not tail.isalpha():
+            raise MalformedNumber(f"trailing garbage {tail!r} in {token!r}")
+        value *= mult
+    if not math.isfinite(value):
+        raise MalformedNumber(f"not a finite number: {token!r}")
+    return value
 
 
 def _parse_value_or_ref(token: str, line: int) -> float | str:

@@ -93,6 +93,13 @@ def test_filter_matching_no_node_is_not_clean(capsys):
     assert err == "loopscope: error: no node analysed: no node matches --filter 'zz*'\n"
 
 
+def test_filter_without_all_nodes_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(CIRCUITS_DIR / "rlc_loop.cir"), "--node", "n2", "--filter", "zz*"])
+    assert exc.value.code == 1
+    assert "--filter requires --all-nodes" in capsys.readouterr().err
+
+
 def test_netlist_without_nodes_is_not_clean(tmp_path, capsys):
     path = write(tmp_path, "empty.cir", "t\nR1 0 gnd 1k\n.end\n")
     code, _, err = run_cli(capsys, path, "--all-nodes")
@@ -226,6 +233,7 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"))
     assert code == 1
     assert "no curves" in err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_opamp_macromodel_gates_on_load(tmp_path, capsys):
@@ -249,3 +257,14 @@ def test_installed_entry_point_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "No oscillatory loops detected" in proc.stdout
+
+
+def test_audit_never_imports_scipy():
+    # numpy is the only runtime numeric dependency; scipy is a test extra.
+    code = ("import sys\n"
+            "from loopscope.cli import main\n"
+            f"status = main([{str(CIRCUITS_DIR / 'rlc_loop.cir')!r}, '--all-nodes'])\n"
+            "assert status == 2, status\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

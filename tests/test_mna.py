@@ -170,12 +170,21 @@ def test_identity_solve():
     assert np.allclose(solve(Y, b), b)
 
 
-def test_floating_node_without_gmin_names_the_node():
-    net = _net("t\nI1 0 a 1\nR1 b 0 1k\n.end\n")
-    pattern = build_pattern(net, gmin=0.0)
+@pytest.mark.parametrize("src,gmin,node,label", [
+    ("I1 0 a 1\nR1 b 0 1k", 0.0, "a", "a"),
+    ("I1 0 a 1\nR1 a b 1k\nR2 c 0 1k", 0.0, "a", "b"),
+    ("V1 a 0 AC 0\nV2 a 0 AC 0\nR1 a 0 1k", 1e-12, "a", "I(V2)"),
+    ("V1 a 0 0\nV2 a b 0\nV3 b 0 0\nR1 a 0 1k", 1e-12, "a", "I(V3)"),
+    ("E1 a 0 b 0 1\nE2 b 0 a 0 1\nR1 a 0 1k", 1e-12, "a", "I(E2)"),
+], ids=["floating-node", "floating-pair", "parallel-vsources", "vsource-loop",
+        "vcvs-loop"])
+def test_floating_node_without_gmin_names_the_node(src, gmin, node, label):
+    # Floating nodes and source or controlled-source loops: the error
+    # names the unknown whose pivot vanishes in partial-pivoting LU.
+    pattern = build_pattern(_net(f"t\n{src}\n.end\n"), gmin=gmin)
     with pytest.raises(SingularSystem) as err:
-        _inject(pattern, "a", 1e3)
-    assert err.value.label == "a"
+        _inject(pattern, node, 1e3)
+    assert err.value.label == label
     assert err.value.omega == 1e3
 
 

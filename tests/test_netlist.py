@@ -49,7 +49,8 @@ def test_parse_value(token, expected):
     assert parse_value(token) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("token", ["5x", "x5", "", "meg", "1k9", "1..2", "1e", "--1"])
+@pytest.mark.parametrize("token", ["5x", "x5", "", "meg", "1k9", "1..2", "1e", "--1",
+                                   "1e999", "1e305meg"])
 def test_parse_value_rejects(token):
     with pytest.raises(MalformedNumber):
         parse_value(token)
