@@ -12,11 +12,10 @@ import argparse
 import datetime
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .mna import GMIN_DEFAULT, MnaError, build_pattern
-from .netlist import NetlistError, elaborate, parse, parse_value
+from .netlist import Netlist, NetlistError, UnresolvedParam, elaborate, parse, parse_value
 from .report import (MismatchedGrids, REL_GAP_DEFAULT, StabilityReport,
                      build_report, render_curves_csv, render_json, render_text)
 from .stability import PEAK_FLOOR_DEFAULT, Severity, analyze_response
@@ -25,25 +24,6 @@ from .sweep import BadRange, inject_node, make_grid, sweep_all_nodes
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSTABLE_RISK = 2
-
-
-@dataclass
-class RunConfig:
-    netlist_path: str
-    node: str | None = None          # single-node mode when set
-    all_nodes: bool = False
-    node_filter: str | None = None
-    f_start: float = 1.0
-    f_stop: float = 1e10
-    ppd: int = 100
-    floor: float = PEAK_FLOOR_DEFAULT
-    rel_gap: float = REL_GAP_DEFAULT
-    gmin: float = GMIN_DEFAULT
-    out_path: str | None = None      # text report target, None = stdout
-    csv_path: str | None = None
-    json_path: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
-    stamp: bool = False
 
 
 def _spice_float(text: str) -> float:
@@ -127,52 +107,57 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(netlist_path=args.netlist, node=args.node,
-                     all_nodes=args.all_nodes, node_filter=args.node_filter,
-                     f_start=args.fstart, f_stop=args.fstop, ppd=args.ppd,
-                     floor=args.floor, rel_gap=args.gap, gmin=args.gmin,
-                     out_path=args.out_path, csv_path=args.csv_path,
-                     json_path=args.json_path, params=dict(args.params),
-                     stamp=args.stamp)
+def _param_references(net: Netlist) -> set[str]:
+    """Every parameter name a parsed netlist declares or references, at
+    top level and inside subcircuit definitions."""
+    names = set(net.params)
+    values = list(net.params.values())
+    for elements in [net.elements, *(sub.elements for sub in net.subcircuits.values())]:
+        values.extend(elem.value for elem in elements)
+    names.update(v for v in values if isinstance(v, str))
+    return names
 
 
-def run(config: RunConfig) -> int:
-    """Execute one analysis run; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one analysis run from parsed arguments; returns the
+    process exit status."""
     try:
-        with open(config.netlist_path, "r", encoding="utf-8") as fh:
+        with open(args.netlist, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
         print(f"loopscope: error: cannot read netlist: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
-        grid = make_grid(config.f_start, config.f_stop, config.ppd)
+        grid = make_grid(args.fstart, args.fstop, args.ppd)
         parsed = parse(source)
-        for name, value in config.params.items():
+        known = _param_references(parsed)
+        for name, value in args.params:
+            if name not in known:
+                # A misspelt override would otherwise audit the unmodified design.
+                raise UnresolvedParam(f"--param {name!r} is not a parameter of this netlist")
             parsed.params[name] = value
         net = elaborate(parsed)
+        pattern = build_pattern(net, gmin=args.gmin)
 
         curves = []
         peaks = []
         errors: dict[str, str] = {}
-        if config.node is not None:
-            pattern = build_pattern(net, gmin=config.gmin)
-            responses = [inject_node(pattern, config.node, grid)]
+        if args.node is not None:
+            responses = [inject_node(pattern, args.node, grid)]
         else:
-            swept = sweep_all_nodes(net, grid, node_filter=config.node_filter,
-                                    gmin=config.gmin)
+            swept = sweep_all_nodes(pattern, grid, node_filter=args.node_filter)
             responses = swept.responses
             errors = swept.errors
         for resp in responses:
-            curve, node_peaks = analyze_response(resp, floor=config.floor)
+            curve, node_peaks = analyze_response(resp, floor=args.floor)
             curves.append(curve)
             peaks.extend(node_peaks)
         report = build_report(net.title, grid, peaks,
                               warnings=net.warnings,
                               per_node_errors=errors,
-                              rel_gap=config.rel_gap)
-        _emit(config, report, curves, responses)
+                              rel_gap=args.gap)
+        _emit(args, report, curves, responses)
     except (NetlistError, MnaError, BadRange, MismatchedGrids, OSError) as exc:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -181,8 +166,8 @@ def run(config: RunConfig) -> int:
         # Nothing was analysed, so "no loops" would be a false all-clear.
         if errors:
             reason = f"all {len(errors)} swept node(s) failed to solve"
-        elif config.node_filter is not None:
-            reason = f"no node matches --filter {config.node_filter!r}"
+        elif args.node_filter is not None:
+            reason = f"no node matches --filter {args.node_filter!r}"
         else:
             reason = "the netlist has no non-ground node"
         print(f"loopscope: error: no node analysed: {reason}", file=sys.stderr)
@@ -192,21 +177,23 @@ def run(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _emit(config: RunConfig, report: StabilityReport, curves, responses):
-    # Each output is rendered before its file is opened, so a render
-    # error leaves no empty file behind.
+def _emit(args: argparse.Namespace, report: StabilityReport, curves, responses):
+    # Every requested output is rendered before anything is written, so a
+    # render error leaves no file behind and no partial set of outputs.
     text = render_text(report)
-    if config.stamp:
+    if args.stamp:
         now = datetime.datetime.now().isoformat(timespec="seconds")
         text = f"generated {now}\n{text}"
-    if config.out_path:
-        _write(config.out_path, text)
+    csv_text = render_curves_csv(curves, responses) if args.csv_path else None
+    json_text = render_json(report) if args.json_path else None
+    if args.out_path:
+        _write(args.out_path, text)
     else:
         sys.stdout.write(text)
-    if config.csv_path:
-        _write(config.csv_path, render_curves_csv(curves, responses), newline="")
-    if config.json_path:
-        _write(config.json_path, render_json(report))
+    if csv_text is not None:
+        _write(args.csv_path, csv_text, newline="")
+    if json_text is not None:
+        _write(args.json_path, json_text)
 
 
 def _write(path: str, text: str, newline: str | None = None):
@@ -219,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.node_filter is not None and not args.all_nodes:
         parser.error("--filter requires --all-nodes")
-    return run(config_from_args(args))
+    return run(args)
 
 
 if __name__ == "__main__":

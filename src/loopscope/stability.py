@@ -32,12 +32,16 @@ import numpy as np
 from .sweep import FrequencyGrid, NodeResponse
 
 PEAK_FLOOR_DEFAULT = 0.1
+#: A pole and a zero whose frequencies agree within this relative gap are
+#: flagged as a pole-zero doublet.
 DOUBLET_GAP_DEFAULT = 0.05
 #: Cross-sign dominance suppression: drop an extremum when an opposite one
 #: within LOBE_WINDOW (natural-log frequency units) is LOBE_RATIO times larger.
 LOBE_WINDOW = 1.0
 LOBE_RATIO = 4.0
 
+#: Severity grades by damping ratio: unstable-risk below the first,
+#: marginal below the second.
 SEVERITY_THRESHOLDS_DEFAULT = (0.3, 0.5)
 
 
@@ -169,14 +173,12 @@ def zeta_from_index(p_value: float) -> float:
     return 1.0 / math.sqrt(-p_value)
 
 
-def damping_lookup(zeta: float,
-                  thresholds: tuple[float, float] = SEVERITY_THRESHOLDS_DEFAULT,
-                  ) -> DampingFigures:
+def damping_lookup(zeta: float) -> DampingFigures:
     """Estimated phase margin, overshoot and a severity grade for a
     damping ratio, by piecewise-linear interpolation of the table."""
     if zeta <= 0:
         raise NonNegativeIndex(f"zeta must be positive, got {zeta!r}")
-    risk_below, marginal_below = thresholds
+    risk_below, marginal_below = SEVERITY_THRESHOLDS_DEFAULT
     if zeta >= 1.0:
         severity = Severity.NON_OSCILLATORY
     elif zeta >= marginal_below:
@@ -210,18 +212,15 @@ def refine_peak(curve: StabilityCurve, index: int) -> tuple[float, float]:
     return math.exp(x_vertex) / (2.0 * math.pi), p_vertex
 
 
-def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT,
-                 doublet_gap: float = DOUBLET_GAP_DEFAULT,
-                 lobe_window: float = LOBE_WINDOW,
-                 lobe_ratio: float = LOBE_RATIO) -> list[Peak]:
+def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> list[Peak]:
     """Find pole/zero candidates in a stability curve.
 
     Strict local minima below ``-floor`` become complex-pole candidates
     and strict local maxima above ``+floor`` complex-zero candidates.
     Curve-end extrema are flagged end-of-range.  A pole and zero whose
-    refined frequencies agree within the doublet gap are flagged as a
-    pole-zero doublet; unflagged extrema that are dwarfed (by
-    ``lobe_ratio``) by an opposite extremum within ``lobe_window`` of
+    refined frequencies agree within ``DOUBLET_GAP_DEFAULT`` are flagged
+    as a pole-zero doublet; unflagged extrema that are dwarfed (by
+    ``LOBE_RATIO``) by an opposite extremum within ``LOBE_WINDOW`` of
     log frequency are dropped as side lobes of that larger feature.
     Peaks sitting on clamped data are flagged and left ungraded.
     """
@@ -268,7 +267,7 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT,
             add(n - 1, PeakKind.COMPLEX_ZERO, True)
 
     # Doublet flagging: a close opposite pair is a joint feature.
-    gap = math.log1p(doublet_gap)
+    gap = math.log1p(DOUBLET_GAP_DEFAULT)
     doublet: set[int] = set()
     for i, a in enumerate(found):
         for j in range(i + 1, len(found)):
@@ -290,8 +289,8 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT,
             continue
         dominated = any(
             b.kind is not a.kind
-            and abs(math.log(a.natural_freq / b.natural_freq)) <= lobe_window
-            and abs(b.p_value) >= lobe_ratio * abs(a.p_value)
+            and abs(math.log(a.natural_freq / b.natural_freq)) <= LOBE_WINDOW
+            and abs(b.p_value) >= LOBE_RATIO * abs(a.p_value)
             for j, b in enumerate(found) if j != i)
         if not dominated:
             kept.append(a)
@@ -299,8 +298,7 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT,
     return kept
 
 
-def grade_peak(peak: Peak,
-               thresholds: tuple[float, float] = SEVERITY_THRESHOLDS_DEFAULT) -> Peak:
+def grade_peak(peak: Peak) -> Peak:
     """Attach phase margin, overshoot and severity to a pole peak.
     End-of-range and clamped peaks stay ungraded per the special-case
     reporting rules; zero peaks carry no damping figure at all."""
@@ -308,17 +306,14 @@ def grade_peak(peak: Peak,
         return peak
     if not peak.gradable:
         return peak
-    r = damping_lookup(peak.zeta, thresholds=thresholds)
+    r = damping_lookup(peak.zeta)
     return replace(peak, phase_margin_deg=r.phase_margin_deg,
                    overshoot_pct=r.overshoot_pct, severity=r.severity)
 
 
 def analyze_response(resp: NodeResponse, floor: float = PEAK_FLOOR_DEFAULT,
-                     doublet_gap: float = DOUBLET_GAP_DEFAULT,
-                     thresholds: tuple[float, float] = SEVERITY_THRESHOLDS_DEFAULT,
                      ) -> tuple[StabilityCurve, list[Peak]]:
     """Full per-node pipeline: curve, detection, refinement, grading."""
     curve = stability_curve(resp)
-    peaks = [grade_peak(pk, thresholds=thresholds)
-             for pk in detect_peaks(curve, floor=floor, doublet_gap=doublet_gap)]
+    peaks = [grade_peak(pk) for pk in detect_peaks(curve, floor=floor)]
     return curve, peaks

@@ -1,11 +1,11 @@
 """Per-node AC current-injection frequency sweeps on a log-spaced grid.
 
-Each run zeroes every independent source, injects a 1 A current into one
-node across the whole grid and records |V| and phase at that node.  With
+Each run zeroes every independent source, injects a fixed 1 A current
+into one node across the whole grid and records |V| at that node.  With
 a 1 A stimulus the magnitude equals the driving-point impedance, and the
-stimulus level cancels out of the downstream log-derivative analysis
-anyway.  All-nodes mode repeats this for every non-ground node; per-node
-failures are collected instead of aborting the audit.
+stimulus level would cancel out of the downstream log-derivative
+analysis anyway.  All-nodes mode repeats this for every non-ground node;
+per-node failures are collected instead of aborting the audit.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mna import GMIN_DEFAULT, MnaPattern, SingularSystem, build_pattern, solve
-from .netlist import Netlist
+from .mna import MnaPattern, SingularSystem, solve
 
 #: Lower clamp applied to |V| before logs; clamped points are flagged and
 #: never become peak candidates.
@@ -89,34 +88,28 @@ class NodeResponse:
     node: str
     grid: FrequencyGrid
     magnitude: np.ndarray        # |V| in volts (== ohms at 1 A), floor applied
-    phase: np.ndarray            # radians, kept for diagnostics
     clamped: np.ndarray          # bool, True where the floor kicked in
 
 
-def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid,
-                current: float = 1.0) -> NodeResponse:
-    """Sweep one node: solve Y(w) x = b at every grid frequency with the
-    AC current injected into ``node`` and all sources zeroed."""
+def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResponse:
+    """Sweep one node: solve Y(w) x = b at every grid frequency with 1 A
+    injected into ``node`` and all sources zeroed."""
     row = pattern.row_of_node(node)
     b = np.zeros(pattern.dim, dtype=np.complex128)
-    b[row] = current
+    b[row] = 1.0
     n = len(grid)
     magnitude = np.empty(n)
-    phase = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
     for i in range(n):
         omega = 2.0 * math.pi * grid.freqs[i]
         x = solve(pattern.G + 1j * omega * pattern.C, b,
                   labels=pattern.labels, omega=omega)
-        v = x[row]
-        magnitude[i] = abs(v)
-        phase[i] = np.angle(v)
+        magnitude[i] = abs(x[row])
         if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x))):
             clamped[i] = True
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR
-    return NodeResponse(node=node, grid=grid, magnitude=magnitude,
-                        phase=phase, clamped=clamped)
+    return NodeResponse(node=node, grid=grid, magnitude=magnitude, clamped=clamped)
 
 
 @dataclass
@@ -128,19 +121,17 @@ class AllNodesSweep:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def sweep_all_nodes(net: Netlist, grid: FrequencyGrid,
-                    node_filter: str | None = None,
-                    current: float = 1.0, gmin: float = GMIN_DEFAULT) -> AllNodesSweep:
+def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
+                    node_filter: str | None = None) -> AllNodesSweep:
     """Inject at every non-ground node (optionally glob-filtered), in
     netlist node-table order."""
-    pattern = build_pattern(net, gmin=gmin)
     result = AllNodesSweep()
-    for node in net.nodes.non_ground():
+    for node in pattern.labels[:pattern.n_nodes]:
         if (node_filter is not None
                 and not fnmatch.fnmatchcase(node.lower(), node_filter.lower())):
             continue
         try:
-            result.responses.append(inject_node(pattern, node, grid, current=current))
+            result.responses.append(inject_node(pattern, node, grid))
         except SingularSystem as exc:
             result.errors[node] = str(exc)
     return result

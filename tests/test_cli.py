@@ -1,6 +1,7 @@
 """Command-line behaviour: run modes, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from loopscope.cli import main
 import circuits
 
 CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def write(tmp_path, name, text):
@@ -24,6 +26,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env():
+    """Environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +168,39 @@ C1 n2 0 1u
     assert out_override.splitlines()[1:] == out_edited.splitlines()[1:]
 
 
+def test_misspelt_param_is_rejected_without_a_report(tmp_path, capsys):
+    json_path = tmp_path / "rep.json"
+    code, out, err = run_cli(capsys, str(CIRCUITS_DIR / "opamp_buffer.cir"),
+                             "--all-nodes", "--fstart", "1k", "--fstop", "1g",
+                             "--param", "cload=2n", "--json", str(json_path))
+    assert code == 1
+    assert out == ""
+    assert not json_path.exists()
+    assert err.count("\n") == 1 and "'cload'" in err
+
+
+def test_param_referenced_but_not_declared_is_accepted(tmp_path, capsys):
+    path = write(tmp_path, "rc.cir", "t\nR1 a 0 1k\nC1 a 0 {cx}\n.end\n")
+    args = ["--node", "a", "--fstart", "1", "--fstop", "1meg", "--ppd", "10"]
+    code, out, _ = run_cli(capsys, path, "--param", "cx=1u", *args)
+    assert code == 0
+    assert "Loop at 159 Hz" in out  # the RC corner 1/(2*pi*1k*1u)
+    assert run_cli(capsys, path, *args)[0] == 1  # cx is undefined without it
+
+
+def test_gmin_decides_which_nodes_solve(tmp_path, capsys):
+    # b and c form an island with no path to ground; only gmin ties it down.
+    path = write(tmp_path, "island.cir", "t\nR1 a 0 1k\nR2 b c 1k\n.end\n")
+    args = ["--all-nodes", "--fstart", "10", "--fstop", "1k", "--ppd", "10"]
+    code, out, err = run_cli(capsys, path, *args, "--gmin", "0")
+    assert code == 1
+    assert "no node analysed: all 3 swept node(s) failed to solve" in err
+    assert out.count("unknown 'c'") == 3
+    code, out, _ = run_cli(capsys, path, *args)
+    assert code == 0
+    assert "excluded" not in out
+
+
 def test_text_output_byte_stable(tmp_path, capsys):
     path = write(tmp_path, "rlc.cir", circuits.sensed_rlc_loop(0.4))
     args = [path, "--all-nodes", "--fstart", "50", "--fstop", "500k", "--ppd", "50"]
@@ -229,11 +271,17 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     assert code == 1  # no node was analysed, so the audit is not clean
     assert "excluded" in out and "singular" in out.lower()
     assert "no node analysed" in err
-    # but asking for curve CSV with nothing swept is an error
-    code, _, err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"))
+    # but asking for curve CSV with nothing swept is an error, and then no
+    # output is written at all
+    code, out, err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"),
+                             "--out", str(tmp_path / "r.txt"),
+                             "--json", str(tmp_path / "r.json"))
     assert code == 1
     assert "no curves" in err
+    assert out == ""
     assert not (tmp_path / "c.csv").exists()
+    assert not (tmp_path / "r.txt").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_opamp_macromodel_gates_on_load(tmp_path, capsys):
@@ -254,7 +302,7 @@ def test_installed_entry_point_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "loopscope.cli", path, "--all-nodes",
          "--fstart", "1", "--fstop", "1k", "--ppd", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert "No oscillatory loops detected" in proc.stdout
 
@@ -266,5 +314,6 @@ def test_audit_never_imports_scipy():
             f"status = main([{str(CIRCUITS_DIR / 'rlc_loop.cir')!r}, '--all-nodes'])\n"
             "assert status == 2, status\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr

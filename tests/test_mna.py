@@ -300,7 +300,7 @@ def test_exact_poles_match_audited_loop(name, f_exact, zeta_exact):
 
     grid = make_grid()
     peaks = []
-    for resp in sweep_all_nodes(net, grid).responses:
+    for resp in sweep_all_nodes(build_pattern(net), grid).responses:
         peaks.extend(analyze_response(resp)[1])
     loops = [g for g in build_report(net.title, grid, peaks).groups
              if abs(g.label_freq / f_pole - 1) <= 0.01]

@@ -204,7 +204,6 @@ def _response_and_curve(node="a", n_points=5):
     assert len(grid) == n_points
     mag = np.linspace(1.0, 2.0, n_points)
     resp = NodeResponse(node=node, grid=grid, magnitude=mag,
-                        phase=np.zeros(n_points),
                         clamped=np.zeros(n_points, dtype=bool))
     return resp, stability_curve(resp)
 

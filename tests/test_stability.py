@@ -37,8 +37,7 @@ def synthetic(grid, magnitude, node="syn"):
     magnitude = np.asarray(magnitude, dtype=float)
     clamped = magnitude < 1e-300
     return NodeResponse(node=node, grid=grid,
-                        magnitude=np.maximum(magnitude, 1e-300),
-                        phase=np.zeros_like(magnitude), clamped=clamped)
+                        magnitude=np.maximum(magnitude, 1e-300), clamped=clamped)
 
 
 def second_order_magnitude(freqs, fn, zeta):
@@ -339,10 +338,6 @@ def test_damping_lookup_beyond_seventy_degrees():
 ])
 def test_severity_thresholds(zeta, severity):
     assert damping_lookup(zeta).severity is severity
-
-
-def test_severity_thresholds_configurable():
-    assert damping_lookup(0.35, thresholds=(0.4, 0.6)).severity is Severity.UNSTABLE_RISK
 
 
 def test_damping_table_has_eleven_rows_ending_at_zero():
