@@ -7,79 +7,29 @@ and reads every underdamped loop directly off that curve: the negative
 peak sits at the loop's natural frequency and its depth equals
 -1/zeta**2, which maps to phase margin and overshoot through the classic
 second-order table.  No feedback loop is ever broken.
+
+The pipeline's entry points are re-exported here; every other public
+name imports from its own module (``loopscope.stability.Peak``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .netlist import (
-    Element,
-    ElementKind,
-    MalformedNumber,
-    Netlist,
-    NetlistError,
-    NetlistSyntaxError,
-    elaborate,
-    parse,
-    parse_value,
-    render,
-)
-from .mna import (
-    MnaPattern,
-    SingularSystem,
-    UnknownNode,
-    build_pattern,
-    solve,
-)
-from .sweep import (
-    AllNodesSweep,
-    BadRange,
-    FrequencyGrid,
-    NodeResponse,
-    inject_node,
-    make_grid,
-    sweep_all_nodes,
-)
-from .stability import (
-    Peak,
-    PeakFlag,
-    PeakKind,
-    Severity,
-    StabilityCurve,
-    DAMPING_TABLE,
-    DampingRow,
-    analyze_response,
-    detect_peaks,
-    refine_peak,
-    stability_curve,
-    damping_lookup,
-    zeta_from_index,
-)
-from .report import (
-    LoopGroup,
-    MismatchedGrids,
-    StabilityReport,
-    build_report,
-    group_loops,
-    render_curves_csv,
-    render_json,
-    render_text,
-)
+from .netlist import NetlistError, elaborate, parse, parse_value, render
+from .mna import SingularSystem, build_pattern
+from .sweep import BadRange, inject_node, make_grid, sweep_all_nodes
+from .stability import analyze_response
+from .report import build_report, render_curves_csv, render_json, render_text
 
 __all__ = [
     "__version__",
     # netlist
-    "Element", "ElementKind", "MalformedNumber", "Netlist", "NetlistError",
-    "NetlistSyntaxError", "elaborate", "parse", "parse_value", "render",
+    "parse", "elaborate", "parse_value", "render", "NetlistError",
     # mna
-    "MnaPattern", "SingularSystem", "UnknownNode", "build_pattern", "solve",
+    "build_pattern", "SingularSystem",
     # sweep
-    "AllNodesSweep", "BadRange", "FrequencyGrid", "NodeResponse",
-    "inject_node", "make_grid", "sweep_all_nodes",
+    "make_grid", "BadRange", "inject_node", "sweep_all_nodes",
     # stability
-    "Peak", "PeakFlag", "PeakKind", "Severity", "StabilityCurve", "DAMPING_TABLE",
-    "DampingRow", "analyze_response", "detect_peaks", "refine_peak",
-    "stability_curve", "damping_lookup", "zeta_from_index",
+    "analyze_response",
     # report
-    "LoopGroup", "MismatchedGrids", "StabilityReport", "build_report",
-    "group_loops", "render_curves_csv", "render_json", "render_text",
+    "build_report", "render_text", "render_json", "render_curves_csv",
 ]

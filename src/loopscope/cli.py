@@ -157,7 +157,7 @@ def run(args: argparse.Namespace) -> int:
                               warnings=net.warnings,
                               per_node_errors=errors,
                               rel_gap=args.gap)
-        _emit(args, report, curves, responses)
+        _emit(args, report, curves)
     except (NetlistError, MnaError, BadRange, MismatchedGrids, OSError) as exc:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -177,14 +177,14 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit(args: argparse.Namespace, report: StabilityReport, curves, responses):
+def _emit(args: argparse.Namespace, report: StabilityReport, curves):
     # Every requested output is rendered before anything is written, so a
     # render error leaves no file behind and no partial set of outputs.
     text = render_text(report)
     if args.stamp:
         now = datetime.datetime.now().isoformat(timespec="seconds")
         text = f"generated {now}\n{text}"
-    csv_text = render_curves_csv(curves, responses) if args.csv_path else None
+    csv_text = render_curves_csv(curves) if args.csv_path else None
     json_text = render_json(report) if args.json_path else None
     if args.out_path:
         _write(args.out_path, text)

@@ -78,9 +78,9 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
     if not net.is_flat:
         raise MnaError("netlist must be elaborated before building an MNA pattern")
 
-    node_rows = {net.nodes.name_of(i).lower(): i - 1 for i in range(1, len(net.nodes))}
-    n_nodes = len(node_rows)
-    labels = [net.nodes.name_of(i) for i in range(1, len(net.nodes))]
+    labels = net.nodes
+    node_rows = {name.lower(): i for i, name in enumerate(labels)}
+    n_nodes = len(labels)
 
     branch_map: dict[str, int] = {}
     for elem in net.elements:

@@ -24,11 +24,14 @@ insensitive) plus optional trailing unit letters after a suffix
 written ``{name}`` or as a bare identifier, resolved at elaboration.
 
 Names are case-insensitive.  Node ``0`` is ground; ``gnd`` is accepted
-as an alias.  Elaboration flattens subcircuit instances using dot-joined
-paths: node ``net5`` inside instance ``X1`` becomes ``X1.net5`` and
-element ``R1`` becomes ``X1.R1``.  The element kind of a flattened name
-is read from the first letter of its last dot segment, so a flat netlist
-re-parses to the same circuit.
+as an alias.  ``Netlist.nodes`` lists the non-ground nodes in first-seen
+order, each under the spelling it was first seen with.
+
+Elaboration flattens subcircuit instances using dot-joined paths: node
+``net5`` inside instance ``X1`` becomes ``X1.net5`` and element ``R1``
+becomes ``X1.R1``.  The element kind of a flattened name is read from
+the first letter of its last dot segment, so a flat netlist re-parses to
+the same circuit.
 """
 
 from __future__ import annotations
@@ -85,10 +88,6 @@ class ElementKind(Enum):
     VCCS = "G"
     CCCS = "F"
     CCVS = "H"
-
-    @property
-    def prefix(self) -> str:
-        return self.value
 
     @classmethod
     def from_name(cls, name: str) -> "ElementKind":
@@ -183,50 +182,6 @@ class Subcircuit:
     instances: list[Instance] = field(default_factory=list)
 
 
-class NodeTable:
-    """Bijective node-name <-> dense-index map; ground '0' is index 0."""
-
-    def __init__(self):
-        self._index: dict[str, int] = {"0": 0}
-        self._names: list[str] = ["0"]
-
-    def add(self, name: str) -> int:
-        key = name.lower()
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._names)
-            self._index[key] = idx
-            self._names.append(name)
-        return idx
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name.lower()]
-        except KeyError:
-            raise KeyError(f"unknown node {name!r}") from None
-
-    def name_of(self, index: int) -> str:
-        return self._names[index]
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._index
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def names(self) -> list[str]:
-        return list(self._names)
-
-    def non_ground(self) -> list[str]:
-        return self._names[1:]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NodeTable) and self._names == other._names
-
-    def __repr__(self) -> str:
-        return f"NodeTable({self._names!r})"
-
-
 @dataclass
 class Netlist:
     title: str
@@ -236,18 +191,15 @@ class Netlist:
     subcircuits: dict[str, Subcircuit] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        self.nodes = self._build_node_table()
-
-    def _build_node_table(self) -> NodeTable:
-        table = NodeTable()
-        for elem in self.elements:
-            for node in elem.nodes:
-                table.add(node)
-        for inst in self.instances:
-            for node in inst.nodes:
-                table.add(node)
-        return table
+    @property
+    def nodes(self) -> list[str]:
+        """Non-ground node names in first-seen order, one per
+        case-insensitive name, spelled as first seen."""
+        seen: dict[str, str] = {"0": "0"}
+        for item in [*self.elements, *self.instances]:
+            for node in item.nodes:
+                seen.setdefault(node.lower(), node)
+        return list(seen.values())[1:]
 
     @property
     def is_flat(self) -> bool:
@@ -351,7 +303,6 @@ def parse(source: str) -> Netlist:
 
     if subckt is not None:
         raise NetlistSyntaxError(f".subckt {subckt.name!r} is missing its .ends")
-    net.nodes = net._build_node_table()
     return net
 
 
@@ -364,7 +315,7 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
     if kind in (ElementKind.VCVS, ElementKind.VCCS):
         if len(tokens) != 6:
             raise NetlistSyntaxError(
-                f"{kind.prefix}-element needs 4 nodes and a gain", lineno)
+                f"{kind.value}-element needs 4 nodes and a gain", lineno)
         nodes = [_normalize_node(t) for t in tokens[1:5]]
         value = _parse_value_or_ref(tokens[5], lineno)
         return Element(name, kind, nodes, value)
@@ -372,7 +323,7 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
     if kind in (ElementKind.CCCS, ElementKind.CCVS):
         if len(tokens) != 5:
             raise NetlistSyntaxError(
-                f"{kind.prefix}-element needs 2 nodes, a controlling V source and a gain", lineno)
+                f"{kind.value}-element needs 2 nodes, a controlling V source and a gain", lineno)
         nodes = [_normalize_node(t) for t in tokens[1:3]]
         value = _parse_value_or_ref(tokens[4], lineno)
         return Element(name, kind, nodes, value, control_element=tokens[3])
@@ -410,11 +361,11 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
         return Element(name, kind, nodes, value, ac_magnitude=ac)
 
     if len(rest) != 1:
-        raise NetlistSyntaxError(f"{kind.prefix}-element needs exactly one value", lineno)
+        raise NetlistSyntaxError(f"{kind.value}-element needs exactly one value", lineno)
     value = _parse_value_or_ref(rest[0], lineno)
     if isinstance(value, float) and value <= 0:
         raise NetlistSyntaxError(
-            f"{kind.prefix}-element value must be strictly positive", lineno)
+            f"{kind.value}-element value must be strictly positive", lineno)
     return Element(name, kind, nodes, value)
 
 
@@ -446,8 +397,8 @@ def _resolve_value(elem: Element, params: dict[str, float]) -> float:
 
 
 def elaborate(net: Netlist) -> Netlist:
-    """Flatten subcircuit instances, substitute parameters and build the
-    dense node table.  Idempotent on already-flat netlists."""
+    """Flatten subcircuit instances and substitute parameters.
+    Idempotent on already-flat netlists."""
     params = _resolve_params(net.params)
     flat_elements: list[Element] = []
 
@@ -525,24 +476,23 @@ def _validate_controls(net: Netlist):
 def _floating_node_warnings(net: Netlist) -> list[str]:
     """Non-ground nodes must reach ground through voltage-constraining
     elements; anything else only stays solvable thanks to gmin."""
-    adjacency: dict[int, set[int]] = {}
+    adjacency: dict[str, set[str]] = {}
     for elem in net.elements:
         if elem.kind not in _CONDUCTIVE_KINDS:
             continue
-        a = net.nodes.index_of(elem.nodes[0])
-        b = net.nodes.index_of(elem.nodes[1])
+        a, b = (node.lower() for node in elem.nodes[:2])
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    reached = {0}
-    frontier = [0]
+    reached = {"0"}
+    frontier = ["0"]
     while frontier:
         here = frontier.pop()
         for nxt in adjacency.get(here, ()):
             if nxt not in reached:
                 reached.add(nxt)
                 frontier.append(nxt)
-    return [f"node {net.nodes.name_of(i)!r} has no conductive path to ground"
-            for i in range(1, len(net.nodes)) if i not in reached]
+    return [f"node {node!r} has no conductive path to ground"
+            for node in net.nodes if node.lower() not in reached]
 
 
 def render(net: Netlist) -> str:

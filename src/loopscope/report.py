@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .stability import Peak, PeakKind, Severity, StabilityCurve
-from .sweep import FrequencyGrid, NodeResponse
+from .sweep import FrequencyGrid
 
 REL_GAP_DEFAULT = 0.05
 
@@ -181,34 +181,25 @@ def render_text(report: StabilityReport) -> str:
     return "\n".join(out)
 
 
-def render_curves_csv(curves: list[StabilityCurve],
-                      responses: list[NodeResponse]) -> str:
+def render_curves_csv(curves: list[StabilityCurve]) -> str:
     """CSV dump of magnitude and stability curves over the interior grid
     points (the difference stencil trims one point per end)."""
     if not curves:
         raise MismatchedGrids("no curves to render")
     grid = curves[0].grid
-    by_node = {r.node: r for r in responses}
     for curve in curves:
         if curve.grid != grid:
             raise MismatchedGrids(f"curve for node {curve.node!r} uses a different grid")
-        resp = by_node.get(curve.node)
-        if resp is None:
-            raise MismatchedGrids(f"no response provided for node {curve.node!r}")
-        if resp.grid != grid:
-            raise MismatchedGrids(f"response for node {curve.node!r} uses a different grid")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["freq_hz"]
     for curve in curves:
         header += [f"mag_{curve.node}", f"p_{curve.node}"]
     writer.writerow(header)
-    freqs = grid.freqs[1:-1]
-    for i, freq in enumerate(freqs):
+    for i, freq in enumerate(grid.freqs[1:-1]):
         row = [repr(float(freq))]
         for curve in curves:
-            resp = by_node[curve.node]
-            row.append(repr(float(resp.magnitude[i + 1])))
+            row.append(repr(float(curve.magnitude[i])))
             row.append(repr(float(curve.p[i])))
         writer.writerow(row)
     return buf.getvalue()

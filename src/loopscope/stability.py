@@ -81,6 +81,7 @@ class Severity(IntEnum):
 class StabilityCurve:
     node: str
     log_freq: np.ndarray   # ln(omega) at interior grid points
+    magnitude: np.ndarray  # the response's |V| at the same points (a view)
     p: np.ndarray
     clamped: np.ndarray    # True where the difference stencil touched clamped data
     grid: FrequencyGrid
@@ -162,7 +163,8 @@ def stability_curve(resp: NodeResponse) -> StabilityCurve:
     clamped_in = resp.clamped
     clamped = clamped_in[2:] | clamped_in[1:-1] | clamped_in[:-2]
     log_freq = np.log(2.0 * math.pi * resp.grid.freqs[1:-1])
-    return StabilityCurve(node=resp.node, log_freq=log_freq, p=p,
+    return StabilityCurve(node=resp.node, log_freq=log_freq,
+                          magnitude=resp.magnitude[1:-1], p=p,
                           clamped=clamped, grid=resp.grid)
 
 

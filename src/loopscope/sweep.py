@@ -67,12 +67,15 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
         raise BadRange(f"need 0 < f_start < f_stop, got {f_start!r}, {f_stop!r}")
     if points_per_decade < 10:
         raise BadRange(f"points_per_decade must be >= 10, got {points_per_decade!r}")
-    span = points_per_decade * math.log10(f_stop / f_start)
+    try:
+        span = points_per_decade * math.log10(f_stop / f_start)
+    except OverflowError:  # points_per_decade too large for a float
+        span = math.inf
     if not span <= MAX_GRID_POINTS - 1:  # also rejects an infinite span
         raise BadRange(f"grid would exceed {MAX_GRID_POINTS} points; lower "
                        "points_per_decade or narrow the frequency range")
     n = int(round(span)) + 1
-    if n < 2:
+    if n < 3:  # the stability plot's difference stencil needs three points
         raise BadRange("frequency range too narrow for this grid density")
     lnf = np.linspace(math.log(f_start), math.log(f_stop), n)
     freqs = np.exp(lnf)
@@ -109,12 +112,13 @@ def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResp
             clamped[i] = True
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR
-    return NodeResponse(node=node, grid=grid, magnitude=magnitude, clamped=clamped)
+    return NodeResponse(node=pattern.labels[row], grid=grid,
+                        magnitude=magnitude, clamped=clamped)
 
 
 @dataclass
 class AllNodesSweep:
-    """Result of an all-nodes run: responses in node-table order plus a
+    """Result of an all-nodes run: responses in netlist node order plus a
     map of nodes whose solve failed (excluded from analysis)."""
 
     responses: list[NodeResponse] = field(default_factory=list)
@@ -124,7 +128,7 @@ class AllNodesSweep:
 def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
                     node_filter: str | None = None) -> AllNodesSweep:
     """Inject at every non-ground node (optionally glob-filtered), in
-    netlist node-table order."""
+    netlist node order (``Netlist.nodes``)."""
     result = AllNodesSweep()
     for node in pattern.labels[:pattern.n_nodes]:
         if (node_filter is not None

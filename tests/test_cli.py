@@ -138,6 +138,18 @@ def test_oversized_grid_is_rejected_before_sweeping(capsys):
     assert "exceed 1000000 points" in err
 
 
+@pytest.mark.parametrize("mode,fstop", [(["--all-nodes"], "1.2k"),
+                                        (["--node", "n2"], "1.3k")])
+def test_two_point_grid_is_a_one_line_error(capsys, mode, fstop):
+    # 10 points/decade over 1k..1.2k rounds to 2 points: too few for a curve.
+    code, out, err = run_cli(capsys, str(CIRCUITS_DIR / "rlc_loop.cir"), *mode,
+                             "--fstart", "1k", "--fstop", fstop, "--ppd", "10")
+    assert code == 1
+    assert out == ""
+    assert err == "loopscope: error: frequency range too narrow for this grid density\n"
+    assert "Traceback" not in err
+
+
 def test_unknown_node_exits_1(tmp_path, capsys):
     path = write(tmp_path, "x.cir", circuits.resistive_divider())
     code, _, err = run_cli(capsys, path, "--node", "nope",
@@ -208,6 +220,19 @@ def test_text_output_byte_stable(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     assert "generated" not in out1
+
+
+@pytest.mark.parametrize("netlist,node,spelling", [("rlc_loop.cir", "n2", "N2"),
+                                                    ("opamp_buffer.cir", "Xamp.n2", "xamp.n2")])
+def test_node_option_reports_the_netlist_spelling(tmp_path, capsys, netlist, node, spelling):
+    outputs = []
+    for name in (node, spelling):
+        json_path = tmp_path / f"{name}.json"
+        _, out, _ = run_cli(capsys, str(CIRCUITS_DIR / netlist), "--node", name,
+                            "--fstart", "1k", "--fstop", "1g", "--json", str(json_path))
+        outputs.append((out, json_path.read_text()))
+    assert outputs[0] == outputs[1]
+    assert f"\n{node} " in outputs[0][0]
 
 
 def test_stamp_flag_adds_timestamp(tmp_path, capsys):

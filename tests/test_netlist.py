@@ -164,11 +164,9 @@ def test_parse_param_directive():
     assert net.element("R1").value == "rr"
 
 
-def test_parse_ground_always_in_node_table():
-    net = parse("t\nR1 a b 1k\n.end\n")
-    assert "0" in net.nodes
-    assert net.nodes.index_of("0") == 0
-    assert net.nodes.index_of("A") == 1  # case-insensitive lookup
+def test_parse_nodes_exclude_ground_and_keep_first_spelling():
+    net = parse("t\nR1 a b 1k\nR2 A 0 1k\nR3 b gnd 1k\n.end\n")
+    assert net.nodes == ["a", "b"]  # ground is never listed; "A" is "a"
 
 
 # ---------------------------------------------------------------------------

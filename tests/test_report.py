@@ -199,49 +199,43 @@ def test_eng_freq_formatting():
 # CSV
 # ---------------------------------------------------------------------------
 
-def _response_and_curve(node="a", n_points=5):
+def _curve(node="a", n_points=5):
     grid = make_grid(1.0, 10.0 ** ((n_points - 1) / 10.0), 10)
     assert len(grid) == n_points
     mag = np.linspace(1.0, 2.0, n_points)
-    resp = NodeResponse(node=node, grid=grid, magnitude=mag,
-                        clamped=np.zeros(n_points, dtype=bool))
-    return resp, stability_curve(resp)
+    return stability_curve(NodeResponse(node=node, grid=grid, magnitude=mag,
+                                        clamped=np.zeros(n_points, dtype=bool)))
 
 
 def test_csv_line_count():
-    resp, curve = _response_and_curve(n_points=5)
-    text = render_curves_csv([curve], [resp])
+    text = render_curves_csv([_curve(n_points=5)])
     lines = text.strip().splitlines()
     assert len(lines) == 1 + 3  # header + interior points
     assert lines[0] == "freq_hz,mag_a,p_a"
 
 
 def test_csv_hierarchical_node_name_not_quoted():
-    resp, curve = _response_and_curve(node="X1.out")
-    text = render_curves_csv([curve], [resp])
+    text = render_curves_csv([_curve(node="X1.out")])
     assert "mag_X1.out" in text.splitlines()[0]
     assert '"' not in text.splitlines()[0]
 
 
 def test_csv_quotes_when_needed():
-    resp, curve = _response_and_curve(node="we,ird")
-    header = render_curves_csv([curve], [resp]).splitlines()[0]
+    header = render_curves_csv([_curve(node="we,ird")]).splitlines()[0]
     assert '"mag_we,ird"' in header
 
 
 def test_csv_mismatched_grids():
-    resp_a, curve_a = _response_and_curve(node="a", n_points=5)
-    resp_b, curve_b = _response_and_curve(node="b", n_points=7)
     with pytest.raises(MismatchedGrids):
-        render_curves_csv([curve_a, curve_b], [resp_a, resp_b])
+        render_curves_csv([_curve(node="a", n_points=5), _curve(node="b", n_points=7)])
 
 
 def test_csv_round_trips_full_precision():
-    resp, curve = _response_and_curve()
-    lines = render_curves_csv([curve], [resp]).strip().splitlines()
+    curve = _curve()
+    lines = render_curves_csv([curve]).strip().splitlines()
     first = lines[1].split(",")
-    assert float(first[0]) == resp.grid.freqs[1]
-    assert float(first[1]) == resp.magnitude[1]
+    assert float(first[0]) == curve.grid.freqs[1]
+    assert float(first[1]) == curve.magnitude[0] == 1.25  # the response's |V| at point 1
     assert float(first[2]) == curve.p[0]
 
 

@@ -254,6 +254,7 @@ def _tiny_curve(p_values):
                          points_per_decade=10, freqs=freqs, log_step=0.1)
     from loopscope.stability import StabilityCurve
     return StabilityCurve(node="t", log_freq=np.log(2 * math.pi * freqs[1:-1]),
+                          magnitude=np.ones(len(p_values)),
                           p=np.asarray(p_values, dtype=float),
                           clamped=np.zeros(len(p_values), dtype=bool), grid=grid)
 

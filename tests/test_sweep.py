@@ -53,7 +53,8 @@ def test_grid_uniform_log_spacing():
 
 
 @pytest.mark.parametrize("fs,fe,ppd", [(10, 10, 100), (100, 10, 100),
-                                       (0, 10, 100), (1, 1000, 9)])
+                                       (0, 10, 100), (1, 1000, 9),
+                                       (1e3, 1.2e3, 10)])
 def test_grid_bad_ranges(fs, fe, ppd):
     with pytest.raises(BadRange):
         make_grid(fs, fe, ppd)
@@ -61,10 +62,12 @@ def test_grid_bad_ranges(fs, fe, ppd):
 
 @pytest.mark.parametrize("fs,fe,ppd", [(1.0, 1e10, 100_000_000),
                                        (1.0, 1e6, 166_667),
-                                       (1e-10, 1e308, 100)])
+                                       (1e-10, 1e308, 100),
+                                       pytest.param(1.0, 2.0, 10**400, id="401-digit-ppd")])
 def test_grid_rejects_more_than_max_points(fs, fe, ppd):
     # Rejected from the requested size alone, before any allocation; the
-    # last case's span overflows to infinity.
+    # third case's span overflows to infinity, the last one's ppd is too
+    # large for a float.
     with pytest.raises(BadRange, match="exceed"):
         make_grid(fs, fe, ppd)
 
@@ -72,6 +75,10 @@ def test_grid_rejects_more_than_max_points(fs, fe, ppd):
 def test_grid_just_below_max_points_is_accepted():
     grid = make_grid(1.0, 1e6, 166_666)
     assert MAX_GRID_POINTS - 3 == len(grid) == 999_997
+
+
+def test_grid_density_is_not_capped_on_its_own():
+    assert len(make_grid(1.0, 1.001, 10_000_000)) == 4342
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def test_response_finite_everywhere_with_gmin():
     net = _net(circuits.two_block())
     grid = make_grid(1.0, 1e9, 30)
     pattern = build_pattern(net)
-    for node in net.nodes.non_ground():
+    for node in net.nodes:
         resp = inject_node(pattern, node, grid)
         assert np.all(np.isfinite(resp.magnitude))
 
@@ -147,7 +154,7 @@ def test_determinism_bitwise():
     grid = make_grid(50.0, 5e6, 40)
     a = sweep_all_nodes(build_pattern(net), grid)
     b = sweep_all_nodes(build_pattern(net), grid)
-    assert len(a.responses) == len(b.responses) == len(net.nodes.non_ground())
+    assert len(a.responses) == len(b.responses) == len(net.nodes)
     for ra, rb in zip(a.responses, b.responses):
         assert ra.node == rb.node
         assert np.array_equal(ra.magnitude, rb.magnitude)
