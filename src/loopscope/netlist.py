@@ -3,16 +3,19 @@
 Supported element cards (one per logical line, ``+`` continues a line,
 ``*`` starts a comment line):
 
-    Rname  a b  value            resistor (ohm)
-    Cname  a b  value            capacitor (farad)
-    Lname  a b  value            inductor (henry)
-    Vname  a b  [dc] [AC [mag]]  independent voltage source
-    Iname  a b  [dc] [AC [mag]]  independent current source
-    Ename  a b c d  gain         VCVS, drives (a,b), senses (c,d)
-    Gname  a b c d  gm           VCCS, drives (a,b), senses (c,d)
-    Fname  a b  Vctrl  gain      CCCS, controlled by current through Vctrl
-    Hname  a b  Vctrl  rtrans    CCVS, controlled by current through Vctrl
-    Xname  n1 n2 ... subname     subcircuit instance
+    Rname  a b  value                    resistor (ohm)
+    Cname  a b  value                    capacitor (farad)
+    Lname  a b  value                    inductor (henry)
+    Vname  a b  [dc] [AC [mag [phase]]]  independent voltage source
+    Iname  a b  [dc] [AC [mag [phase]]]  independent current source
+    Ename  a b c d  gain                 VCVS, drives (a,b), senses (c,d)
+    Gname  a b c d  gm                   VCCS, drives (a,b), senses (c,d)
+    Fname  a b  Vctrl  gain              CCCS, controlled by current through Vctrl
+    Hname  a b  Vctrl  rtrans            CCVS, controlled by current through Vctrl
+    Xname  n1 n2 ... subname             subcircuit instance
+
+A source's AC phase is accepted and ignored: every source is zeroed
+while a node is swept, so it cannot change the audit.
 
 Directives: ``.param NAME=VALUE``, ``.subckt NAME pins... / .ends``,
 ``.end``.  Other dot-directives are skipped with a warning so netlists
@@ -142,6 +145,14 @@ def parse_value(token: str) -> float:
     if not math.isfinite(value):
         raise MalformedNumber(f"not a finite number: {token!r}")
     return value
+
+
+def _is_number(token: str) -> bool:
+    try:
+        parse_value(token)
+    except MalformedNumber:
+        return False
+    return True
 
 
 def _parse_value_or_ref(token: str, line: int) -> float | str:
@@ -343,6 +354,8 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                 if i + 1 < len(rest):
                     ac = parse_value(rest[i + 1])
                     i += 2
+                    if i < len(rest) and _is_number(rest[i]):  # the phase
+                        i += 1
                 else:
                     ac = 1.0
                     i += 1

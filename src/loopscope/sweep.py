@@ -103,10 +103,16 @@ def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResp
     n = len(grid)
     magnitude = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
+    # One work matrix for the whole sweep: Y(w) = G + jwC is refilled in
+    # place at each frequency instead of allocating two dim x dim
+    # temporaries.  (jw)*C first, then + G: the same operations in the
+    # same order as evaluating G + jwC afresh, so Y is bitwise identical.
+    Y = np.empty((pattern.dim, pattern.dim), dtype=np.complex128)
     for i in range(n):
         omega = 2.0 * math.pi * grid.freqs[i]
-        x = solve(pattern.G + 1j * omega * pattern.C, b,
-                  labels=pattern.labels, omega=omega)
+        np.multiply(1j * omega, pattern.C, out=Y)
+        Y += pattern.G
+        x = solve(Y, b, labels=pattern.labels, omega=omega)
         magnitude[i] = abs(x[row])
         if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x))):
             clamped[i] = True

@@ -8,7 +8,6 @@ characteristics table embedded in the package.
 """
 
 import functools
-import json
 import math
 import time
 from pathlib import Path

@@ -222,6 +222,19 @@ def test_text_output_byte_stable(tmp_path, capsys):
     assert "generated" not in out1
 
 
+def test_source_ac_phase_does_not_change_the_report(tmp_path, capsys):
+    plain = circuits.hierarchical_opamp_buffer()
+    assert "\nVin in 0 AC 1\n" in plain
+    outputs = []
+    for name, text in (("plain.cir", plain),
+                       ("phase.cir", plain.replace("\nVin in 0 AC 1\n", "\nVin in 0 AC 1 0\n"))):
+        code, out, _ = run_cli(capsys, write(tmp_path, name, text), "--all-nodes",
+                               "--fstart", "1k", "--fstop", "1g")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("netlist,node,spelling", [("rlc_loop.cir", "n2", "N2"),
                                                     ("opamp_buffer.cir", "Xamp.n2", "xamp.n2")])
 def test_node_option_reports_the_netlist_spelling(tmp_path, capsys, netlist, node, spelling):

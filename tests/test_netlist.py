@@ -1,13 +1,10 @@
 """Parser and elaboration tests."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from loopscope.netlist import (
     DuplicateElement,
-    Element,
     ElementKind,
     MalformedNumber,
     NetlistSyntaxError,
@@ -91,6 +88,24 @@ def test_parse_vsource_dc_and_ac():
     (v,) = net.elements
     assert v.value == 2.5
     assert v.ac_magnitude == 0.5
+
+
+@pytest.mark.parametrize("card,kind,dc,ac", [
+    ("V1 a 0 DC 0 AC 1 0", ElementKind.VSOURCE, 0.0, 1.0),
+    ("V1 a 0 AC 1 90", ElementKind.VSOURCE, 0.0, 1.0),
+    ("I1 a 0 AC 2 90", ElementKind.ISOURCE, 0.0, 2.0),
+    ("V1 a 0 AC 1 -45 DC 3", ElementKind.VSOURCE, 3.0, 1.0),
+], ids=["V-dc-ac-phase", "V-ac-phase", "I-ac-phase", "V-ac-phase-then-dc"])
+def test_parse_source_ac_phase_is_ignored(card, kind, dc, ac):
+    src = parse(f"t\n{card}\nR1 a 0 1\n.end\n").elements[0]
+    assert src.kind is kind
+    assert src.value == dc
+    assert src.ac_magnitude == ac
+
+
+def test_parse_source_non_numeric_after_ac_magnitude_rejected():
+    with pytest.raises(NetlistSyntaxError, match="line 2: unexpected token 'deg'"):
+        parse("t\nV1 a 0 AC 1 deg\n.end\n")
 
 
 def test_parse_ac_keyword_without_magnitude_defaults_to_one():

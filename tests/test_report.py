@@ -1,7 +1,6 @@
 """Loop grouping and renderer tests."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from loopscope.stability import (
     Peak,
     PeakFlag,
     PeakKind,
-    StabilityCurve,
     stability_curve,
     damping_lookup,
     zeta_from_index,

@@ -17,7 +17,6 @@ from loopscope.stability import (
     DAMPING_TABLE,
     GridTooShort,
     NonNegativeIndex,
-    Peak,
     PeakFlag,
     PeakKind,
     Severity,

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from loopscope.mna import build_pattern
+from loopscope.mna import build_pattern, solve
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curve
 from loopscope.sweep import (
+    MAGNITUDE_FLOOR,
     MAX_GRID_POINTS,
+    NOISE_FLOOR_REL,
     BadRange,
     inject_node,
     make_grid,
@@ -167,6 +169,47 @@ def test_all_nodes_entry_matches_single_node_sweep_bitwise():
     (entry,) = [r for r in sweep_all_nodes(pattern, grid).responses if r.node == "n2"]
     assert np.array_equal(single.magnitude, entry.magnitude)
     assert np.array_equal(single.clamped, entry.clamped)
+
+
+def _oracle_response(pattern, node, grid):
+    """The sweep written out with a fresh G + jwC per frequency."""
+    row = pattern.row_of_node(node)
+    b = np.zeros(pattern.dim, dtype=np.complex128)
+    b[row] = 1.0
+    magnitude = np.empty(len(grid))
+    clamped = np.zeros(len(grid), dtype=bool)
+    for i, f in enumerate(grid.freqs):
+        omega = 2.0 * math.pi * f
+        x = solve(pattern.G + 1j * omega * pattern.C, b,
+                  labels=pattern.labels, omega=omega)
+        magnitude[i] = abs(x[row])
+        clamped[i] = magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x)))
+    clamped |= magnitude < MAGNITUDE_FLOOR
+    magnitude[clamped] = MAGNITUDE_FLOOR
+    return magnitude, clamped
+
+
+@pytest.mark.parametrize("src,grid_args", [
+    (circuits.two_block(), (50.0, 5e6, 40)),
+    (circuits.passive_rlc_loop(0.2), (50.0, 500e3, 100)),
+    (circuits.hierarchical_opamp_buffer(), (1e3, 1e9, 50)),
+], ids=["two_block", "rlc", "opamp"])
+def test_in_place_assembly_matches_fresh_matrix_oracle_bitwise(src, grid_args):
+    pattern = build_pattern(_net(src))
+    grid = make_grid(*grid_args)
+    g_bytes, c_bytes = pattern.G.tobytes(), pattern.C.tobytes()
+    swept = sweep_all_nodes(pattern, grid)
+    single = inject_node(pattern, pattern.labels[0], grid)
+    assert pattern.G.tobytes() == g_bytes and pattern.C.tobytes() == c_bytes
+    assert not swept.errors
+    assert [r.node for r in swept.responses] == pattern.labels[:pattern.n_nodes]
+    for resp in [*swept.responses, single]:
+        magnitude, clamped = _oracle_response(pattern, resp.node, grid)
+        assert resp.magnitude.tobytes() == magnitude.tobytes(), resp.node
+        assert np.array_equal(resp.clamped, clamped), resp.node
+    if "Xamp.eo" in pattern.labels:  # the ideal-source-driven node clamps
+        (eo,) = [r for r in swept.responses if r.node == "Xamp.eo"]
+        assert eo.clamped.all()
 
 
 def test_added_isource_changes_nothing_bitwise():
