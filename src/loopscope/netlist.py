@@ -214,14 +214,9 @@ class Netlist:
 
     @property
     def is_flat(self) -> bool:
-        return not self.instances and not self.subcircuits
-
-    def element(self, name: str) -> Element:
-        key = name.lower()
-        for elem in self.elements:
-            if elem.name.lower() == key:
-                return elem
-        raise KeyError(f"unknown element {name!r}")
+        """No instances, no subcircuits and no unresolved parameter reference."""
+        return (not self.instances and not self.subcircuits
+                and not any(isinstance(e.value, str) for e in self.elements))
 
 
 def _normalize_node(token: str) -> str:
@@ -262,6 +257,7 @@ def parse(source: str) -> Netlist:
     seen: dict[str, int] = {}
     subckt: Subcircuit | None = None
     sub_seen: dict[str, int] = {}
+    subckt_lines: dict[str, int] = {}
 
     for lineno, text in lines.logical:
         tokens = text.split()
@@ -281,6 +277,12 @@ def parse(source: str) -> Netlist:
                     raise NetlistSyntaxError("nested .subckt definitions are not supported", lineno)
                 if len(tokens) < 3:
                     raise NetlistSyntaxError(".subckt needs a name and at least one pin", lineno)
+                key = tokens[1].lower()
+                if key in subckt_lines:
+                    raise NetlistSyntaxError(
+                        f".subckt {tokens[1]!r} already defined on line {subckt_lines[key]}",
+                        lineno)
+                subckt_lines[key] = lineno
                 subckt = Subcircuit(name=tokens[1], pins=[_normalize_node(t) for t in tokens[2:]])
                 sub_seen = {}
                 continue
@@ -514,8 +516,6 @@ def render(net: Netlist) -> str:
         raise ValueError("render() expects an elaborated netlist")
     lines = [net.title]
     for elem in net.elements:
-        if isinstance(elem.value, str):
-            raise ValueError(f"element {elem.name!r} still has an unresolved value")
         parts = [elem.name, *elem.nodes]
         if elem.kind in (ElementKind.CCCS, ElementKind.CCVS):
             parts.append(elem.control_element or "?")

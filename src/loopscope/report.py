@@ -35,15 +35,35 @@ class MismatchedGrids(Exception):
 
 @dataclass
 class LoopGroup:
-    label_freq: float              # Hz, from the member with the deepest peak
-    members: list[Peak]            # sorted by descending |p_value|
-    worst_zeta: float | None       # min zeta over gradable members
-    worst_node: str                # min-zeta gradable member, else the deepest
-    severity: Severity | None      # worst gradable member severity
+    """One loop: its pole peaks, deepest first.  The loop's grade is its
+    worst member's, the min-zeta gradable one; severity never improves
+    as zeta falls, so that member also carries the worst severity."""
+
+    members: list[Peak]            # sorted on construction by descending |p_value|
+    worst: Peak | None = field(init=False)
+
+    def __post_init__(self):
+        self.members = sorted(self.members, key=lambda pk: (-abs(pk.p_value), pk.node))
+        self.worst = min((m for m in self.members if m.gradable),
+                         key=lambda m: m.zeta, default=None)
 
     @property
-    def gradable_members(self) -> list[Peak]:
-        return [m for m in self.members if m.gradable]
+    def label_freq(self) -> float:
+        """Hz, from the member with the deepest peak."""
+        return self.members[0].natural_freq
+
+    @property
+    def worst_zeta(self) -> float | None:
+        return self.worst.zeta if self.worst else None
+
+    @property
+    def worst_node(self) -> str:
+        """The worst member's node, else the deepest member's."""
+        return (self.worst or self.members[0]).node
+
+    @property
+    def severity(self) -> Severity | None:
+        return self.worst.severity if self.worst else None
 
 
 @dataclass
@@ -77,22 +97,9 @@ def group_loops(peaks: list[Peak], rel_gap: float = REL_GAP_DEFAULT) -> list[Loo
         if math.log(here.natural_freq / prev.natural_freq) > cut:
             clusters.append([])
         clusters[-1].append(here)
-    groups = [_make_group(cluster) for cluster in clusters]
+    groups = [LoopGroup(cluster) for cluster in clusters]
     groups.sort(key=lambda g: g.label_freq)
     return groups
-
-
-def _make_group(cluster: list[Peak]) -> LoopGroup:
-    members = sorted(cluster, key=lambda pk: (-abs(pk.p_value), pk.node))
-    deepest = members[0]
-    gradable = [m for m in members if m.gradable and m.zeta is not None]
-    worst = min(gradable, key=lambda m: m.zeta, default=None)
-    severities = [m.severity for m in gradable if m.severity is not None]
-    return LoopGroup(label_freq=deepest.natural_freq,
-                     members=members,
-                     worst_zeta=worst.zeta if worst else None,
-                     worst_node=(worst or deepest).node,
-                     severity=min(severities) if severities else None)
 
 
 def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],
@@ -157,13 +164,12 @@ def render_text(report: StabilityReport) -> str:
     for group in report.groups:
         out.append(f"Loop at {format_eng_freq(group.label_freq)}")
         out.extend(_fmt_row(pk, node_w, peak_w) for pk in group.members)
-        if group.worst_zeta is not None:
-            worst = min(group.gradable_members, key=lambda m: m.zeta)
-            sev = group.severity
-            out.append(f"  worst zeta {group.worst_zeta:.3f} (node {worst.node}): "
+        worst = group.worst
+        if worst is not None:
+            out.append(f"  worst zeta {worst.zeta:.3f} (node {worst.node}): "
                        f"est. phase margin {_pm_text(worst.phase_margin_deg)}, "
                        f"overshoot {worst.overshoot_pct:.1f}%, "
-                       f"severity {sev.label if sev is not None else 'ungraded'}")
+                       f"severity {worst.severity.label}")
         else:
             out.append("  all peaks flagged; severity ungraded")
         out.append("")

@@ -24,7 +24,7 @@ rather than reported as a separate resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -89,20 +89,32 @@ class StabilityCurve:
 
 @dataclass
 class Peak:
+    """One stability-plot extremum, graded on construction: a pole with a
+    negative P gets its zeta, and, unless flagged end-of-range or
+    clamped, the table's phase margin, overshoot and severity."""
+
     node: str
     kind: PeakKind
     natural_freq: float            # Hz
     p_value: float
-    zeta: float | None = None      # poles only
-    phase_margin_deg: float | None = None  # None above the table's 70 deg limit
-    overshoot_pct: float | None = None
-    severity: Severity | None = None       # None when flagged ungradable
     flags: frozenset[PeakFlag] = frozenset()
     sample_index: int = -1         # index into the curve arrays
+    zeta: float | None = field(init=False)              # poles only
+    phase_margin_deg: float | None = field(init=False)  # None above the table's 70 deg limit
+    overshoot_pct: float | None = field(init=False)
+    severity: Severity | None = field(init=False)       # None when ungradable
+
+    def __post_init__(self):
+        pole = self.kind is PeakKind.COMPLEX_POLE and self.p_value < 0
+        self.zeta = zeta_from_index(self.p_value) if pole else None
+        graded = damping_lookup(self.zeta) if self.gradable else None
+        self.phase_margin_deg = graded.phase_margin_deg if graded else None
+        self.overshoot_pct = graded.overshoot_pct if graded else None
+        self.severity = graded.severity if graded else None
 
     @property
     def gradable(self) -> bool:
-        return (self.kind is PeakKind.COMPLEX_POLE
+        return (self.zeta is not None
                 and PeakFlag.END_OF_RANGE not in self.flags
                 and PeakFlag.CLAMPED_DATA not in self.flags)
 
@@ -228,45 +240,32 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> li
     """
     p = curve.p
     n = len(p)
-    if n == 0:
+    if n < 2:
         return []
+    # Strict extrema against both neighbours; the infinite sentinels let
+    # each end sample compete against its one real neighbour only.
+    above = np.concatenate(([np.inf], p, [np.inf]))
+    below = np.concatenate(([-np.inf], p, [-np.inf]))
+    minima = (p < -floor) & (p < above[:-2]) & (p < above[2:])
+    maxima = (p > floor) & (p > below[:-2]) & (p > below[2:])
+    # Curvature computed from floor-clamped samples is meaningless; such
+    # points never become candidates.
+    clamped = np.concatenate(([False], curve.clamped, [False]))
+    near_clamp = clamped[:-2] | clamped[2:]
     found: list[Peak] = []
-
-    def add(i: int, kind: PeakKind, end_of_range: bool):
-        if curve.clamped[i]:
-            # Curvature computed from floor-clamped samples is meaningless;
-            # such points never become candidates.
-            return
+    for i in np.flatnonzero((minima | maxima) & ~curve.clamped).tolist():
         flags = set()
-        if end_of_range:
+        if i == 0 or i == n - 1:
             flags.add(PeakFlag.END_OF_RANGE)
-        if (i > 0 and curve.clamped[i - 1]) or (i < n - 1 and curve.clamped[i + 1]):
+        if near_clamp[i]:
             flags.add(PeakFlag.CLAMPED_DATA)
         if flags:
             freq, value = math.exp(curve.log_freq[i]) / (2.0 * math.pi), float(p[i])
         else:
             freq, value = refine_peak(curve, i)
-        zeta = None
-        if kind is PeakKind.COMPLEX_POLE and value < 0:
-            zeta = zeta_from_index(value)
+        kind = PeakKind.COMPLEX_POLE if minima[i] else PeakKind.COMPLEX_ZERO
         found.append(Peak(node=curve.node, kind=kind, natural_freq=freq,
-                          p_value=value, zeta=zeta, flags=frozenset(flags),
-                          sample_index=i))
-
-    for i in range(1, n - 1):
-        if p[i] < -floor and p[i] < p[i - 1] and p[i] < p[i + 1]:
-            add(i, PeakKind.COMPLEX_POLE, False)
-        elif p[i] > floor and p[i] > p[i - 1] and p[i] > p[i + 1]:
-            add(i, PeakKind.COMPLEX_ZERO, False)
-    if n >= 2:
-        if p[0] < -floor and p[0] < p[1]:
-            add(0, PeakKind.COMPLEX_POLE, True)
-        elif p[0] > floor and p[0] > p[1]:
-            add(0, PeakKind.COMPLEX_ZERO, True)
-        if p[n - 1] < -floor and p[n - 1] < p[n - 2]:
-            add(n - 1, PeakKind.COMPLEX_POLE, True)
-        elif p[n - 1] > floor and p[n - 1] > p[n - 2]:
-            add(n - 1, PeakKind.COMPLEX_ZERO, True)
+                          p_value=value, flags=frozenset(flags), sample_index=i))
 
     # Doublet flagging: a close opposite pair is a joint feature.
     gap = math.log1p(DOUBLET_GAP_DEFAULT)
@@ -296,26 +295,11 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> li
             for j, b in enumerate(found) if j != i)
         if not dominated:
             kept.append(a)
-    kept.sort(key=lambda pk: pk.sample_index)
     return kept
-
-
-def grade_peak(peak: Peak) -> Peak:
-    """Attach phase margin, overshoot and severity to a pole peak.
-    End-of-range and clamped peaks stay ungraded per the special-case
-    reporting rules; zero peaks carry no damping figure at all."""
-    if peak.kind is not PeakKind.COMPLEX_POLE or peak.zeta is None:
-        return peak
-    if not peak.gradable:
-        return peak
-    r = damping_lookup(peak.zeta)
-    return replace(peak, phase_margin_deg=r.phase_margin_deg,
-                   overshoot_pct=r.overshoot_pct, severity=r.severity)
 
 
 def analyze_response(resp: NodeResponse, floor: float = PEAK_FLOOR_DEFAULT,
                      ) -> tuple[StabilityCurve, list[Peak]]:
-    """Full per-node pipeline: curve, detection, refinement, grading."""
+    """Full per-node pipeline: curve, then detected, refined and graded peaks."""
     curve = stability_curve(resp)
-    peaks = [grade_peak(pk) for pk in detect_peaks(curve, floor=floor)]
-    return curve, peaks
+    return curve, detect_peaks(curve, floor=floor)

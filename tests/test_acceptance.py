@@ -26,7 +26,6 @@ from loopscope.stability import (
     PeakKind,
     Severity,
     analyze_response,
-    grade_peak,
     stability_curve,
     damping_lookup,
     zeta_from_index,
@@ -167,12 +166,6 @@ SAMPLE_AUDIT_ROWS = [
 ]
 
 
-def _constructed_pole(node, depth, freq):
-    pk = Peak(node=node, kind=PeakKind.COMPLEX_POLE, natural_freq=freq,
-              p_value=-depth, zeta=zeta_from_index(-depth))
-    return grade_peak(pk)
-
-
 @criterion(5, "property suite and report golden file")
 def test_criterion_5_properties_and_golden():
     # (a) stability curve invariant under magnitude scaling.
@@ -210,7 +203,7 @@ def test_criterion_5_properties_and_golden():
     s2 = sweep_all_nodes(pattern, grid)
     for ra, rb in zip(s1.responses, s2.responses):
         assert np.array_equal(ra.magnitude, rb.magnitude)
-    peaks = [_constructed_pole(n, d, f) for n, d, f in SAMPLE_AUDIT_ROWS]
+    peaks = [Peak(n, PeakKind.COMPLEX_POLE, f, -d) for n, d, f in SAMPLE_AUDIT_ROWS]
     base = group_loops(peaks)
     rng = np.random.default_rng(7)
     shuffled = list(peaks)

@@ -119,6 +119,9 @@ def test_pattern_requires_flat_netlist():
     net = parse(circuits.two_block())
     with pytest.raises(MnaError):
         build_pattern(net)
+    # No instances, but a parameter reference is still unresolved.
+    with pytest.raises(MnaError, match="must be elaborated"):
+        build_pattern(parse("t\n.param r=1k\nR1 a 0 {r}\n.end\n"))
 
 
 def test_unknown_injection_node():

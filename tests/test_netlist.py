@@ -21,6 +21,11 @@ from loopscope.netlist import (
 import circuits
 
 
+def element(net, name):
+    (elem,) = [e for e in net.elements if e.name.lower() == name.lower()]
+    return elem
+
+
 # ---------------------------------------------------------------------------
 # parse_value
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def test_parse_vccs_arity():
 
 def test_parse_cccs_control_reference():
     net = parse("t\nV1 a 0 AC 0\nF1 b 0 V1 2.0\nR1 b 0 1\nR2 a 0 1\n.end\n")
-    f = net.element("F1")
+    f = element(net, "F1")
     assert f.kind is ElementKind.CCCS
     assert f.control_element == "V1"
     assert f.value == 2.0
@@ -131,18 +136,27 @@ def test_parse_cccs_control_reference():
 
 def test_parse_comments_and_continuation():
     net = parse("t\n* a comment\nR1 a 0\n+ 2k\nR2 a 0 1k\n.end\n")
-    assert net.element("R1").value == 2000.0
+    assert element(net, "R1").value == 2000.0
     assert len(net.elements) == 2
 
 
 def test_parse_gnd_alias():
     net = parse("t\nR1 a GND 1k\n.end\n")
-    assert net.element("R1").nodes == ["a", "0"]
+    assert element(net, "R1").nodes == ["a", "0"]
 
 
 def test_parse_duplicate_element():
     with pytest.raises(DuplicateElement):
         parse("t\nR1 a 0 1k\nr1 b 0 2k\n.end\n")
+
+
+def test_parse_duplicate_subcircuit_names_first_definition():
+    src = ("t\nX1 a s\n.subckt s p\nR1 p 0 1k\n.ends\n"
+           ".subckt S p\nR1 p 0 2k\n.ends\n.end\n")
+    with pytest.raises(NetlistSyntaxError) as err:
+        parse(src)
+    assert "line 6" in str(err.value)
+    assert "already defined on line 3" in str(err.value)
 
 
 def test_parse_unknown_prefix():
@@ -175,8 +189,8 @@ def test_parse_negative_rcl_value_rejected():
 def test_parse_param_directive():
     net = parse("t\n.param cc=30p rr=1k\nC1 x y {cc}\nR1 x 0 rr\n.end\n")
     assert net.params == {"cc": 30e-12, "rr": 1000.0}
-    assert net.element("C1").value == "cc"
-    assert net.element("R1").value == "rr"
+    assert element(net, "C1").value == "cc"
+    assert element(net, "R1").value == "rr"
 
 
 def test_parse_nodes_exclude_ground_and_keep_first_spelling():
@@ -203,19 +217,19 @@ def test_elaborate_expands_subcircuit_with_dot_names():
     net = elaborate(parse(SUB))
     names = [e.name for e in net.elements]
     assert names == ["R1", "X1.R2", "X1.C1"]
-    r2 = net.element("X1.R2")
+    r2 = element(net, "X1.R2")
     assert r2.nodes == ["a", "X1.net5"]
     assert "X1.net5" in net.nodes
 
 
 def test_elaborate_param_substitution():
     net = elaborate(parse("t\n.param cc=30p\nC1 x y {cc}\nR1 x 0 1k\nR2 y 0 1k\n.end\n"))
-    assert net.element("C1").value == 3e-11
+    assert element(net, "C1").value == 3e-11
 
 
 def test_elaborate_param_chain():
     net = elaborate(parse("t\n.param a=2k b={a}\nR1 x 0 {b}\n.end\n"))
-    assert net.element("R1").value == 2000.0
+    assert element(net, "R1").value == 2000.0
 
 
 def test_elaborate_unresolved_param():
@@ -253,7 +267,7 @@ C1 q 0 1u
 """
     net = elaborate(parse(src))
     assert {e.name for e in net.elements} == {"X1.R1", "X1.X2.C1"}
-    assert net.element("X1.X2.C1").nodes == ["a", "0"]
+    assert element(net, "X1.X2.C1").nodes == ["a", "0"]
 
 
 def test_elaborate_prefixes_control_references():
@@ -269,7 +283,7 @@ F1 q 0 V1 2
 .end
 """
     net = elaborate(parse(src))
-    assert net.element("X1.F1").control_element == "X1.V1"
+    assert element(net, "X1.F1").control_element == "X1.V1"
 
 
 def test_elaborate_floating_node_warning_for_isource_only_node():
@@ -328,5 +342,5 @@ def test_render_round_trip_with_sources():
 def test_flattened_element_names_reparse_to_same_kind():
     flat = elaborate(parse(SUB))
     back = parse(render(flat))
-    assert back.element("X1.C1").kind is ElementKind.CAPACITOR
-    assert back.element("X1.R2").kind is ElementKind.RESISTOR
+    assert element(back, "X1.C1").kind is ElementKind.CAPACITOR
+    assert element(back, "X1.R2").kind is ElementKind.RESISTOR

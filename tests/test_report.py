@@ -20,26 +20,16 @@ from loopscope.stability import (
     PeakFlag,
     PeakKind,
     stability_curve,
-    damping_lookup,
-    zeta_from_index,
 )
 from loopscope.sweep import NodeResponse, make_grid
 
 
 def pole(node, p_value, freq, flags=()):
-    zeta = zeta_from_index(p_value)
-    graded = damping_lookup(zeta) if not flags else None
-    return Peak(node=node, kind=PeakKind.COMPLEX_POLE, natural_freq=freq,
-                p_value=p_value, zeta=zeta,
-                phase_margin_deg=graded.phase_margin_deg if graded else None,
-                overshoot_pct=graded.overshoot_pct if graded else None,
-                severity=graded.severity if graded else None,
-                flags=frozenset(flags))
+    return Peak(node, PeakKind.COMPLEX_POLE, freq, p_value, flags=frozenset(flags))
 
 
 def zero(node, p_value, freq):
-    return Peak(node=node, kind=PeakKind.COMPLEX_ZERO, natural_freq=freq,
-                p_value=p_value)
+    return Peak(node, PeakKind.COMPLEX_ZERO, freq, p_value)
 
 
 GRID = make_grid(1.0, 1e8, 10)
@@ -107,6 +97,31 @@ def test_group_worst_node_is_min_zeta_gradable_member():
     only_flagged = group_loops([pole("edge", -100.0, 1e6,
                                      flags={PeakFlag.END_OF_RANGE})])
     assert only_flagged[0].worst_node == "edge"
+
+
+# Depths on the severity thresholds (zeta 1, 0.5, 0.3) as well as between.
+_DEPTHS = st.one_of(st.sampled_from([1.0, 4.0, 1.0 / 0.09, 100.0]),
+                    st.floats(min_value=0.01, max_value=1e4))
+
+
+@given(members=st.lists(st.tuples(_DEPTHS, st.sets(st.sampled_from(list(PeakFlag)))),
+                        min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_group_grade_is_its_worst_members(members):
+    # The group's grade is derived from its min-zeta gradable member; that
+    # is the worst severity only because severity never improves as zeta
+    # falls.
+    peaks = [pole(f"n{i}", -depth, 1e6, flags) for i, (depth, flags) in enumerate(members)]
+    (g,) = group_loops(peaks)
+    graded = [pk for pk in peaks if pk.severity is not None]
+    assert g.severity == min((pk.severity for pk in graded), default=None)
+    if graded:
+        (named,) = [pk for pk in peaks if pk.node == g.worst_node]
+        assert named.gradable
+        assert named.zeta == g.worst_zeta == min(pk.zeta for pk in graded)
+    else:
+        assert g.worst_zeta is None
+        assert g.worst_node == g.members[0].node
 
 
 @given(freqs=st.lists(st.floats(min_value=1e2, max_value=1e9), min_size=1,

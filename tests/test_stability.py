@@ -6,6 +6,7 @@ numerical differentiation oracle cross-checks the production path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,16 @@ from loopscope.mna import build_pattern
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import (
     DAMPING_TABLE,
+    DOUBLET_GAP_DEFAULT,
+    LOBE_RATIO,
+    LOBE_WINDOW,
     GridTooShort,
     NonNegativeIndex,
+    Peak,
     PeakFlag,
     PeakKind,
     Severity,
+    StabilityCurve,
     analyze_response,
     detect_peaks,
     refine_peak,
@@ -242,20 +248,147 @@ def test_clamped_samples_never_become_candidates():
     assert peaks == []
 
 
+def reference_detect_peaks(curve, floor):
+    """The loop-based candidate scan that detect_peaks replaced, with the
+    unchanged doublet and side-lobe passes: the oracle for the masks."""
+    p = curve.p
+    n = len(p)
+    if n == 0:
+        return []
+    found = []
+
+    def add(i, kind, end_of_range):
+        if curve.clamped[i]:
+            return
+        flags = set()
+        if end_of_range:
+            flags.add(PeakFlag.END_OF_RANGE)
+        if (i > 0 and curve.clamped[i - 1]) or (i < n - 1 and curve.clamped[i + 1]):
+            flags.add(PeakFlag.CLAMPED_DATA)
+        if flags:
+            freq, value = math.exp(curve.log_freq[i]) / (2.0 * math.pi), float(p[i])
+        else:
+            freq, value = refine_peak(curve, i)
+        found.append(Peak(curve.node, kind, freq, value, flags=frozenset(flags),
+                          sample_index=i))
+
+    for i in range(1, n - 1):
+        if p[i] < -floor and p[i] < p[i - 1] and p[i] < p[i + 1]:
+            add(i, PeakKind.COMPLEX_POLE, False)
+        elif p[i] > floor and p[i] > p[i - 1] and p[i] > p[i + 1]:
+            add(i, PeakKind.COMPLEX_ZERO, False)
+    if n >= 2:
+        if p[0] < -floor and p[0] < p[1]:
+            add(0, PeakKind.COMPLEX_POLE, True)
+        elif p[0] > floor and p[0] > p[1]:
+            add(0, PeakKind.COMPLEX_ZERO, True)
+        if p[n - 1] < -floor and p[n - 1] < p[n - 2]:
+            add(n - 1, PeakKind.COMPLEX_POLE, True)
+        elif p[n - 1] > floor and p[n - 1] > p[n - 2]:
+            add(n - 1, PeakKind.COMPLEX_ZERO, True)
+
+    gap = math.log1p(DOUBLET_GAP_DEFAULT)
+    doublet = set()
+    for i, a in enumerate(found):
+        for j in range(i + 1, len(found)):
+            b = found[j]
+            if a.kind is b.kind:
+                continue
+            if abs(math.log(a.natural_freq / b.natural_freq)) <= gap:
+                doublet.add(i)
+                doublet.add(j)
+    for i in sorted(doublet):
+        found[i] = replace(found[i],
+                           flags=found[i].flags | {PeakFlag.POLE_ZERO_DOUBLET})
+
+    kept = []
+    for i, a in enumerate(found):
+        if i in doublet:
+            kept.append(a)
+            continue
+        dominated = any(
+            b.kind is not a.kind
+            and abs(math.log(a.natural_freq / b.natural_freq)) <= LOBE_WINDOW
+            and abs(b.p_value) >= LOBE_RATIO * abs(a.p_value)
+            for j, b in enumerate(found) if j != i)
+        if not dominated:
+            kept.append(a)
+    kept.sort(key=lambda pk: pk.sample_index)
+    return kept
+
+
+# A few repeated levels make ties between neighbours and plateaus common.
+_P_SAMPLES = st.one_of(
+    st.sampled_from([-50.0, -9.0, -4.0, -1.0, -0.1, 0.0, 0.1, 1.0, 4.0, 9.0, 50.0]),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+
+
+@given(data=st.data(),
+       floor=st.sampled_from([0.0, 0.1, 1.0]),
+       log_step=st.sampled_from([0.005, 0.03, 0.1, 0.5]))
+@settings(max_examples=200, deadline=None)
+def test_detect_peaks_matches_loop_reference(data, floor, log_step):
+    p = data.draw(st.lists(_P_SAMPLES, min_size=1, max_size=14), label="p")
+    clamped = data.draw(st.lists(st.sampled_from([False, False, False, True]),
+                                 min_size=len(p), max_size=len(p)), label="clamped")
+    curve = _tiny_curve(p, clamped, log_step)
+    assert detect_peaks(curve, floor=floor) == reference_detect_peaks(curve, floor)
+
+
+@pytest.mark.parametrize("p,clamped", [
+    ([-5.0], None),
+    ([5.0], None),
+    ([-5.0, -1.0], None),
+    ([1.0, 5.0], None),
+    ([-2.0, -2.0], None),
+    # a pole at each end, a tie and a clamped sample
+    ([-5.0, -1.0, -3.0, -3.0, 0.5, 2.0, -7.0],
+     [False, False, False, False, True, False, False]),
+])
+def test_detect_peaks_matches_loop_reference_on_edge_cases(p, clamped):
+    curve = _tiny_curve(p, clamped)
+    assert detect_peaks(curve) == reference_detect_peaks(curve, 0.1)
+
+
+@pytest.mark.parametrize("flags,graded", [
+    ((), True),
+    ((PeakFlag.POLE_ZERO_DOUBLET,), True),
+    ((PeakFlag.END_OF_RANGE,), False),
+    ((PeakFlag.CLAMPED_DATA,), False),
+])
+def test_pole_peak_grades_itself(flags, graded):
+    pk = Peak("n", PeakKind.COMPLEX_POLE, 1e3, -25.0, flags=frozenset(flags))
+    assert pk.zeta == 0.2
+    assert pk.gradable is graded
+    if graded:
+        assert (pk.phase_margin_deg, pk.overshoot_pct, pk.severity) == \
+               (20.0, 53.0, Severity.UNSTABLE_RISK)
+    else:
+        assert (pk.phase_margin_deg, pk.overshoot_pct, pk.severity) == (None, None, None)
+
+
+def test_zero_peak_carries_no_damping_figures():
+    pk = Peak("n", PeakKind.COMPLEX_ZERO, 1e3, 25.0)
+    assert (pk.zeta, pk.phase_margin_deg, pk.overshoot_pct, pk.severity) == \
+           (None, None, None, None)
+    assert not pk.gradable
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
 
-def _tiny_curve(p_values):
+def _tiny_curve(p_values, clamped=None, log_step=0.1):
     n = len(p_values) + 2
-    freqs = np.exp(np.linspace(0.0, (n - 1) * 0.1, n))
+    freqs = np.exp(np.linspace(0.0, (n - 1) * log_step, n))
     grid = FrequencyGrid(f_start=freqs[0], f_stop=freqs[-1],
-                         points_per_decade=10, freqs=freqs, log_step=0.1)
-    from loopscope.stability import StabilityCurve
+                         points_per_decade=10, freqs=freqs, log_step=log_step)
+    if clamped is None:
+        clamped = [False] * len(p_values)
     return StabilityCurve(node="t", log_freq=np.log(2 * math.pi * freqs[1:-1]),
                           magnitude=np.ones(len(p_values)),
                           p=np.asarray(p_values, dtype=float),
-                          clamped=np.zeros(len(p_values), dtype=bool), grid=grid)
+                          clamped=np.asarray(clamped, dtype=bool), grid=grid)
 
 
 def test_refine_symmetric_samples():
