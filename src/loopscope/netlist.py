@@ -354,7 +354,11 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
             tok = rest[i].lower()
             if tok == "ac":
                 if i + 1 < len(rest):
-                    ac = parse_value(rest[i + 1])
+                    try:
+                        ac = parse_value(rest[i + 1])
+                    except MalformedNumber:
+                        raise NetlistSyntaxError(
+                            f"bad value token {rest[i + 1]!r}", lineno) from None
                     i += 2
                     if i < len(rest) and _is_number(rest[i]):  # the phase
                         i += 1
@@ -509,19 +513,3 @@ def _floating_node_warnings(net: Netlist) -> list[str]:
     return [f"node {node!r} has no conductive path to ground"
             for node in net.nodes if node.lower() not in reached]
 
-
-def render(net: Netlist) -> str:
-    """Canonical flat-netlist text; re-parsing reproduces the elements."""
-    if not net.is_flat:
-        raise ValueError("render() expects an elaborated netlist")
-    lines = [net.title]
-    for elem in net.elements:
-        parts = [elem.name, *elem.nodes]
-        if elem.kind in (ElementKind.CCCS, ElementKind.CCVS):
-            parts.append(elem.control_element or "?")
-        parts.append(repr(float(elem.value)))
-        if elem.kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
-            parts.extend(["AC", repr(elem.ac_magnitude)])
-        lines.append(" ".join(parts))
-    lines.append(".end")
-    return "\n".join(lines) + "\n"

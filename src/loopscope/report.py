@@ -144,10 +144,6 @@ def _fmt_row(pk: Peak, node_w: int, peak_w: int) -> str:
             f"{pk.natural_freq:.2E}{_flag_suffix(pk)}")
 
 
-def _pm_text(pm: float | None) -> str:
-    return f"{pm:.1f} deg" if pm is not None else "> 70 deg"
-
-
 def render_text(report: StabilityReport) -> str:
     """Deterministic plain-text report.  Rows are
     node, |stability peak|, natural frequency (Hz)."""
@@ -167,7 +163,7 @@ def render_text(report: StabilityReport) -> str:
         worst = group.worst
         if worst is not None:
             out.append(f"  worst zeta {worst.zeta:.3f} (node {worst.node}): "
-                       f"est. phase margin {_pm_text(worst.phase_margin_deg)}, "
+                       f"est. phase margin {worst.phase_margin_deg:.1f} deg, "
                        f"overshoot {worst.overshoot_pct:.1f}%, "
                        f"severity {worst.severity.label}")
         else:

@@ -10,7 +10,8 @@ spike at its natural frequency whose depth encodes the damping ratio:
 
 and a complex zero pair leaves the mirror-image positive spike.  The
 damping ratio recovered from a negative peak maps to estimated phase
-margin and step overshoot through the classic second-order table.
+margin and step overshoot through the closed-form second-order relations
+of the canonical loop wn**2 / (s (s + 2 zeta wn)).
 
 Implementation notes: the response is sampled on a uniform log grid, so
 P is one central second difference of ln|V| (exact for any quadratic in
@@ -91,7 +92,8 @@ class StabilityCurve:
 class Peak:
     """One stability-plot extremum, graded on construction: a pole with a
     negative P gets its zeta, and, unless flagged end-of-range or
-    clamped, the table's phase margin, overshoot and severity."""
+    clamped, the closed-form second-order phase margin and overshoot,
+    and a severity grade."""
 
     node: str
     kind: PeakKind
@@ -100,62 +102,23 @@ class Peak:
     flags: frozenset[PeakFlag] = frozenset()
     sample_index: int = -1         # index into the curve arrays
     zeta: float | None = field(init=False)              # poles only
-    phase_margin_deg: float | None = field(init=False)  # None above the table's 70 deg limit
+    phase_margin_deg: float | None = field(init=False)
     overshoot_pct: float | None = field(init=False)
     severity: Severity | None = field(init=False)       # None when ungradable
 
     def __post_init__(self):
         pole = self.kind is PeakKind.COMPLEX_POLE and self.p_value < 0
         self.zeta = zeta_from_index(self.p_value) if pole else None
-        graded = damping_lookup(self.zeta) if self.gradable else None
-        self.phase_margin_deg = graded.phase_margin_deg if graded else None
-        self.overshoot_pct = graded.overshoot_pct if graded else None
-        self.severity = graded.severity if graded else None
+        graded = self.gradable
+        self.phase_margin_deg = phase_margin_from_zeta(self.zeta) if graded else None
+        self.overshoot_pct = overshoot_from_zeta(self.zeta) if graded else None
+        self.severity = severity_from_zeta(self.zeta) if graded else None
 
     @property
     def gradable(self) -> bool:
         return (self.zeta is not None
                 and PeakFlag.END_OF_RANGE not in self.flags
                 and PeakFlag.CLAMPED_DATA not in self.flags)
-
-
-@dataclass(frozen=True)
-class DampingRow:
-    zeta: float
-    overshoot_pct: float
-    phase_margin_deg: float | None
-    max_magnitude: float | None
-    performance_index: float
-
-
-#: Second-order system characteristics versus damping ratio.
-DAMPING_TABLE: tuple[DampingRow, ...] = (
-    DampingRow(1.0, 0.0, None, None, -1.0),
-    DampingRow(0.9, 0.0, None, None, -1.2),
-    DampingRow(0.8, 2.0, None, None, -1.6),
-    DampingRow(0.7, 5.0, 70.0, 1.01, -2.0),
-    DampingRow(0.6, 10.0, 60.0, 1.04, -2.8),
-    DampingRow(0.5, 16.0, 50.0, 1.15, -4.0),
-    DampingRow(0.4, 25.0, 40.0, 1.4, -6.3),
-    DampingRow(0.3, 37.0, 30.0, 1.8, -11.0),
-    DampingRow(0.2, 53.0, 20.0, 2.6, -25.0),
-    DampingRow(0.1, 73.0, 10.0, 5.0, -100.0),
-    DampingRow(0.0, 100.0, 0.0, math.inf, -math.inf),
-)
-
-_ZETAS = np.array([row.zeta for row in reversed(DAMPING_TABLE)])
-_OVERSHOOTS = np.array([row.overshoot_pct for row in reversed(DAMPING_TABLE)])
-# Phase margin is tabulated only up to zeta = 0.7 (10..70 degrees).
-_PM_ZETAS = _ZETAS[_ZETAS <= 0.7]
-_PM_DEGS = np.array([row.phase_margin_deg for row in reversed(DAMPING_TABLE)
-                     if row.phase_margin_deg is not None])
-
-
-@dataclass(frozen=True)
-class DampingFigures:
-    phase_margin_deg: float | None
-    overshoot_pct: float
-    severity: Severity
 
 
 def stability_curve(resp: NodeResponse) -> StabilityCurve:
@@ -187,23 +150,31 @@ def zeta_from_index(p_value: float) -> float:
     return 1.0 / math.sqrt(-p_value)
 
 
-def damping_lookup(zeta: float) -> DampingFigures:
-    """Estimated phase margin, overshoot and a severity grade for a
-    damping ratio, by piecewise-linear interpolation of the table."""
-    if zeta <= 0:
-        raise NonNegativeIndex(f"zeta must be positive, got {zeta!r}")
+def phase_margin_from_zeta(zeta: float) -> float:
+    """Phase margin (degrees) of the loop wn**2 / (s (s + 2 zeta wn)):
+    atan(2 zeta / sqrt(sqrt(1 + 4 zeta**4) - 2 zeta**2)), written in the
+    equal form that has no cancellation at large zeta."""
+    z2 = zeta * zeta
+    tan_pm = 2.0 * zeta * math.sqrt(2.0 * z2 + math.sqrt(1.0 + 4.0 * z2 * z2))
+    return math.degrees(math.atan(tan_pm))
+
+
+def overshoot_from_zeta(zeta: float) -> float:
+    """Step overshoot (percent) of a second-order pole pair."""
+    if zeta >= 1.0:
+        return 0.0
+    return 100.0 * math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta * zeta))
+
+
+def severity_from_zeta(zeta: float) -> Severity:
     risk_below, marginal_below = SEVERITY_THRESHOLDS_DEFAULT
     if zeta >= 1.0:
-        severity = Severity.NON_OSCILLATORY
-    elif zeta >= marginal_below:
-        severity = Severity.ACCEPTABLE
-    elif zeta >= risk_below:
-        severity = Severity.MARGINAL
-    else:
-        severity = Severity.UNSTABLE_RISK
-    pm = float(np.interp(zeta, _PM_ZETAS, _PM_DEGS)) if zeta <= 0.7 else None
-    overshoot = float(np.interp(zeta, _ZETAS, _OVERSHOOTS)) if zeta <= 1.0 else 0.0
-    return DampingFigures(phase_margin_deg=pm, overshoot_pct=overshoot, severity=severity)
+        return Severity.NON_OSCILLATORY
+    if zeta >= marginal_below:
+        return Severity.ACCEPTABLE
+    if zeta >= risk_below:
+        return Severity.MARGINAL
+    return Severity.UNSTABLE_RISK
 
 
 def refine_peak(curve: StabilityCurve, index: int) -> tuple[float, float]:

@@ -168,7 +168,7 @@ Cload out 0 {cl}
 Gin n1 0 inp inn 200u
 R1 n1 0 2meg
 C1 n1 0 0.5p
-G2 n2 0 0 n1 2m
+G2 n2 0 n1 0 2m
 R2 n2 0 50k
 C2 n2 0 1p
 Cc n1 n2 {cc}

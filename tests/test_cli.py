@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from loopscope.cli import main
 import circuits
 
 CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
+README = Path(__file__).parent.parent / "README.md"
 SRC_DIR = Path(__file__).parent.parent / "src"
 
 
@@ -46,7 +49,7 @@ def test_single_node_underdamped_loop_exits_2(tmp_path, capsys):
     assert code == 2
     assert "Loop at 5.03 kHz" in out
     assert "severity unstable-risk" in out
-    assert "phase margin 20" in out
+    assert "phase margin 22.7 deg" in out
 
 
 def test_single_node_zeta_and_pm_via_json(tmp_path, capsys):
@@ -60,7 +63,8 @@ def test_single_node_zeta_and_pm_via_json(tmp_path, capsys):
     (grp,) = doc["groups"]
     assert grp["worst_zeta"] == pytest.approx(0.2, rel=0.05)
     (member,) = grp["members"]
-    assert member["phase_margin_deg"] == pytest.approx(20.0, rel=0.06)
+    # The closed-form phase margin at zeta 0.2 is 22.6 deg.
+    assert member["phase_margin_deg"] == pytest.approx(22.6, rel=0.06)
 
 
 def test_all_nodes_resistive_divider_exits_0(tmp_path, capsys):
@@ -333,6 +337,31 @@ def test_opamp_macromodel_gates_on_load(tmp_path, capsys):
     code_bad, out_bad, _ = run_cli(capsys, path, *args, "--param", "cl=2n")
     assert code_bad == 2
     assert "severity unstable-risk" in out_bad
+
+
+def test_readme_examples_match_the_cli(capsys):
+    # The README's example report and its --param cl=2n claim are the
+    # shipped op-amp's real output, so neither can drift from the code.
+    readme = README.read_text(encoding="utf-8")
+    audit = "loopscope circuits/opamp_buffer.cir --all-nodes --fstart 1k --fstop 1g"
+    assert f"\n{audit}\n" in readme
+    args = [str(CIRCUITS_DIR / "opamp_buffer.cir"), *shlex.split(audit)[2:]]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    (block,) = re.findall(r"Example report:\n\n```\n(.*?)```", readme, re.S)
+    assert block in out
+
+    claim = re.search(rf"\n{re.escape(audit)} --param cl=2n\n# -> (Loop at .+?) \.\.\. "
+                      r"worst zeta ([\d.]+) \.\.\. severity ([\w-]+); exit code (\d)\n",
+                      readme)
+    assert claim, "README lacks the --param cl=2n example"
+    loop, zeta, severity, status = claim.groups()
+    code, out, _ = run_cli(capsys, *args, "--param", "cl=2n")
+    assert code == int(status) == 2
+    first = out.split("\n\n")[1].splitlines()
+    assert first[0] == loop
+    assert first[-1].startswith(f"  worst zeta {zeta} ")
+    assert first[-1].endswith(f"severity {severity}")
 
 
 def test_installed_entry_point_smoke(tmp_path):

@@ -15,10 +15,7 @@ from loopscope.netlist import (
     elaborate,
     parse,
     parse_value,
-    render,
 )
-
-import circuits
 
 
 def element(net, name):
@@ -168,6 +165,17 @@ def test_parse_syntax_error_carries_line_number():
     with pytest.raises(NetlistSyntaxError) as err:
         parse("t\nR1 a 0 1k\nR2 a\n.end\n")
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("card,token", [
+    ("R1 a 0 1..2", "1..2"),
+    ("V1 a 0 DC 1k9", "1k9"),
+    ("V1 a 0 AC foo", "foo"),
+    ("I1 a 0 AC 1x 90", "1x"),
+], ids=["R-value", "V-dc", "V-ac", "I-ac"])
+def test_parse_bad_value_token_carries_line_number(card, token):
+    with pytest.raises(NetlistSyntaxError, match=f"line 3: bad value token '{token}'"):
+        parse(f"t\nR0 a 0 1k\n{card}\n.end\n")
 
 
 def test_parse_unknown_directive_warns():
@@ -324,23 +332,11 @@ def test_elaborate_idempotent():
     assert again.nodes == flat.nodes
 
 
-def test_render_round_trip():
-    flat = elaborate(parse(circuits.two_block()))
-    text = render(flat)
-    back = parse(text)
-    assert back.elements == flat.elements
-    assert back.nodes == flat.nodes
-    assert back.title == flat.title
-
-
-def test_render_round_trip_with_sources():
-    flat = elaborate(parse(circuits.hierarchical_opamp_buffer()))
-    back = parse(render(flat))
-    assert back.elements == flat.elements
-
-
 def test_flattened_element_names_reparse_to_same_kind():
-    flat = elaborate(parse(SUB))
-    back = parse(render(flat))
+    # A dotted name takes its kind from its last segment, as elaborated
+    # names like X1.C1 must when a flattened netlist is read back.
+    back = parse("t\nX1.C1 a 0 1n\nX1.R2 a b 2k\nXa.Xb.L1 b 0 1u\n.end\n")
     assert element(back, "X1.C1").kind is ElementKind.CAPACITOR
     assert element(back, "X1.R2").kind is ElementKind.RESISTOR
+    assert element(back, "Xa.Xb.L1").kind is ElementKind.INDUCTOR
+    assert not back.instances

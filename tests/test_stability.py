@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from loopscope.mna import build_pattern
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import (
-    DAMPING_TABLE,
     DOUBLET_GAP_DEFAULT,
     LOBE_RATIO,
     LOBE_WINDOW,
@@ -28,9 +27,11 @@ from loopscope.stability import (
     StabilityCurve,
     analyze_response,
     detect_peaks,
+    overshoot_from_zeta,
+    phase_margin_from_zeta,
     refine_peak,
+    severity_from_zeta,
     stability_curve,
-    damping_lookup,
     zeta_from_index,
 )
 from loopscope.sweep import FrequencyGrid, NodeResponse, inject_node, make_grid
@@ -186,7 +187,7 @@ def test_single_real_pole_detected_as_wide_pole():
     assert pk.kind is PeakKind.COMPLEX_POLE
     assert pk.p_value == pytest.approx(-0.5, abs=0.01)
     assert pk.zeta == pytest.approx(math.sqrt(2.0), rel=0.02)
-    assert damping_lookup(pk.zeta).severity is Severity.NON_OSCILLATORY
+    assert pk.severity is Severity.NON_OSCILLATORY
 
 
 def test_underdamped_pole_yields_one_pole_and_no_zero():
@@ -361,8 +362,9 @@ def test_pole_peak_grades_itself(flags, graded):
     assert pk.zeta == 0.2
     assert pk.gradable is graded
     if graded:
-        assert (pk.phase_margin_deg, pk.overshoot_pct, pk.severity) == \
-               (20.0, 53.0, Severity.UNSTABLE_RISK)
+        assert pk.phase_margin_deg == pytest.approx(22.60, abs=0.005)
+        assert pk.overshoot_pct == pytest.approx(52.66, abs=0.005)
+        assert pk.severity is Severity.UNSTABLE_RISK
     else:
         assert (pk.phase_margin_deg, pk.overshoot_pct, pk.severity) == (None, None, None)
 
@@ -415,7 +417,7 @@ def test_refined_frequency_accuracy_at_100_ppd():
 
 
 # ---------------------------------------------------------------------------
-# zeta and the lookup table
+# zeta and the closed-form damping figures
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("index,zeta", [(-1.0, 1.0), (-4.0, 0.5),
@@ -437,26 +439,31 @@ def test_zeta_round_trip(zeta):
     assert zeta_from_index(-1.0 / zeta**2) == pytest.approx(zeta, rel=1e-14)
 
 
-def test_damping_lookup_tabulated_rows_exact():
-    assert damping_lookup(0.5).phase_margin_deg == 50.0
-    assert damping_lookup(0.5).overshoot_pct == 16.0
-    assert damping_lookup(0.2).phase_margin_deg == 20.0
-    assert damping_lookup(0.2).overshoot_pct == 53.0
-    assert damping_lookup(0.1).phase_margin_deg == 10.0
-    assert damping_lookup(0.1).overshoot_pct == 73.0
+def test_closed_forms_at_known_points():
+    # zeta = 1/sqrt(2): the loop crosses over at wc = wn*sqrt(sqrt(2) - 1)
+    # and the closed loop peaks at exp(-pi) overshoot.
+    zeta = 1.0 / math.sqrt(2.0)
+    wc = math.sqrt(math.sqrt(2.0) - 1.0)
+    assert phase_margin_from_zeta(zeta) == pytest.approx(
+        math.degrees(math.atan(2.0 * zeta / wc)), abs=1e-12)
+    assert overshoot_from_zeta(zeta) == pytest.approx(100.0 * math.exp(-math.pi), rel=1e-14)
+    assert phase_margin_from_zeta(0.5) == pytest.approx(51.83, abs=0.005)
+    assert overshoot_from_zeta(0.5) == pytest.approx(16.30, abs=0.005)
+    assert phase_margin_from_zeta(0.1) == pytest.approx(11.42, abs=0.005)
+    assert overshoot_from_zeta(0.1) == pytest.approx(72.92, abs=0.005)
 
 
-def test_damping_lookup_interpolates_between_rows():
-    r = damping_lookup(0.45)
-    assert r.phase_margin_deg == pytest.approx(45.0)
-    assert r.overshoot_pct == pytest.approx(20.5)
-
-
-def test_damping_lookup_beyond_seventy_degrees():
-    r = damping_lookup(0.8)
-    assert r.phase_margin_deg is None
-    assert r.overshoot_pct == pytest.approx(2.0)
-    assert damping_lookup(1.5).overshoot_pct == 0.0
+def test_closed_forms_beyond_seventy_degrees():
+    # Every zeta gets a phase margin, rising towards 90 deg; overshoot
+    # is zero from critical damping on.
+    assert phase_margin_from_zeta(0.9) == pytest.approx(73.51, abs=0.005)
+    assert overshoot_from_zeta(0.9) == pytest.approx(0.15, abs=0.005)
+    assert phase_margin_from_zeta(1.0) == pytest.approx(76.35, abs=0.005)
+    assert overshoot_from_zeta(1.0) == 0.0
+    assert overshoot_from_zeta(1.5) == 0.0
+    margins = [phase_margin_from_zeta(z) for z in np.linspace(0.01, 50.0, 500)]
+    assert all(a < b for a, b in zip(margins, margins[1:]))
+    assert 89.9 < margins[-1] < 90.0
 
 
 @pytest.mark.parametrize("zeta,severity", [
@@ -470,10 +477,4 @@ def test_damping_lookup_beyond_seventy_degrees():
     (1.41, Severity.NON_OSCILLATORY),
 ])
 def test_severity_thresholds(zeta, severity):
-    assert damping_lookup(zeta).severity is severity
-
-
-def test_damping_table_has_eleven_rows_ending_at_zero():
-    assert len(DAMPING_TABLE) == 11
-    assert DAMPING_TABLE[0].zeta == 1.0 and DAMPING_TABLE[0].performance_index == -1.0
-    assert DAMPING_TABLE[-1].zeta == 0.0 and DAMPING_TABLE[-1].performance_index == -math.inf
+    assert severity_from_zeta(zeta) is severity
