@@ -1,4 +1,4 @@
-"""Netlist builders shared across the test suite.
+"""Netlist builders and reference data shared across the test suite.
 
 Each builder returns netlist source text so the same circuits drive both
 library-level tests and CLI tests (written to temp files).  Analytic
@@ -12,6 +12,23 @@ C_FARAD = 1e-6
 
 #: 1/(2*pi*sqrt(LC)) for the standard L=1 mH / C=1 uF resonator.
 F_NATURAL = 1.0 / (2.0 * math.pi * math.sqrt(L_HENRY * C_FARAD))
+
+
+#: The classic second-order characteristics table: zeta, step overshoot
+#: (%) and performance index P = -1/zeta**2, each printed rounded.
+DAMPING_TABLE = (
+    (1.0, 0.0, -1.0),
+    (0.9, 0.0, -1.2),
+    (0.8, 2.0, -1.6),
+    (0.7, 5.0, -2.0),
+    (0.6, 10.0, -2.8),
+    (0.5, 16.0, -4.0),
+    (0.4, 25.0, -6.3),
+    (0.3, 37.0, -11.0),
+    (0.2, 53.0, -25.0),
+    (0.1, 73.0, -100.0),
+    (0.0, 100.0, -math.inf),
+)
 
 
 def series_r_for(zeta: float, l: float = L_HENRY, c: float = C_FARAD) -> float:

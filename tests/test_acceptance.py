@@ -85,23 +85,6 @@ def test_criterion_1_index_closure():
     return f"{'; '.join(details)}; {elapsed:.2f}s"
 
 
-#: The classic second-order characteristics table: zeta, step overshoot
-#: (%) and performance index P = -1/zeta**2, each printed rounded.
-DAMPING_TABLE = (
-    (1.0, 0.0, -1.0),
-    (0.9, 0.0, -1.2),
-    (0.8, 2.0, -1.6),
-    (0.7, 5.0, -2.0),
-    (0.6, 10.0, -2.8),
-    (0.5, 16.0, -4.0),
-    (0.4, 25.0, -6.3),
-    (0.3, 37.0, -11.0),
-    (0.2, 53.0, -25.0),
-    (0.1, 73.0, -100.0),
-    (0.0, 100.0, -math.inf),
-)
-
-
 def _canonical_loop(zeta):
     """Open loop wn**2 / (s (s + 2 zeta wn)) at wn = 1, as a function of w."""
     return lambda w: 1.0 / (1j * w * (1j * w + 2.0 * zeta))
@@ -141,7 +124,7 @@ def test_criterion_2_table_rows():
     assert zeta_from_index(-25.0) == 0.2
     assert zeta_from_index(-100.0) == 0.1
     assert zeta_from_index(-math.inf) == 0.0
-    for zeta, overshoot, index in DAMPING_TABLE:
+    for zeta, overshoot, index in circuits.DAMPING_TABLE:
         # The table prints its overshoot and index rounded; the closed
         # forms and the index inversion must land within that rounding.
         assert overshoot_from_zeta(zeta) == pytest.approx(overshoot, abs=0.6), zeta
@@ -157,7 +140,7 @@ def test_criterion_2_table_rows():
         # The unrounded identity is exact to machine precision.
         assert zeta_from_index(-1.0 / zeta**2) == pytest.approx(zeta, rel=1e-14)
     assert phase_margin_from_zeta(0.0) == 0.0
-    return (f"{len(DAMPING_TABLE)} rows reproduced; "
+    return (f"{len(circuits.DAMPING_TABLE)} rows reproduced; "
             f"PM(0.5) {phase_margin_from_zeta(0.5):.2f} deg, "
             f"overshoot(0.5) {overshoot_from_zeta(0.5):.2f}%")
 

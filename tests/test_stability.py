@@ -453,6 +453,19 @@ def test_closed_forms_at_known_points():
     assert overshoot_from_zeta(0.1) == pytest.approx(72.92, abs=0.005)
 
 
+def test_damping_table_has_eleven_rows_ending_at_zero():
+    table = circuits.DAMPING_TABLE
+    assert len(table) == 11
+    assert table[0] == (1.0, 0.0, -1.0)
+    assert table[-1][0] == 0.0 and table[-1][2] == -math.inf
+    # Both end rows are exact on the closed forms, not only within rounding.
+    assert zeta_from_index(table[0][2]) == 1.0
+    assert overshoot_from_zeta(1.0) == 0.0
+    assert zeta_from_index(table[-1][2]) == 0.0
+    assert overshoot_from_zeta(0.0) == pytest.approx(100.0, rel=1e-14)
+    assert phase_margin_from_zeta(0.0) == 0.0
+
+
 def test_closed_forms_beyond_seventy_degrees():
     # Every zeta gets a phase margin, rising towards 90 deg; overshoot
     # is zero from critical damping on.
