@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .mna import GMIN_DEFAULT, MnaError, build_pattern
-from .netlist import Netlist, NetlistError, UnresolvedParam, elaborate, parse, parse_value
+from .netlist import Netlist, NetlistError, elaborate, parse, parse_value
 from .report import (MismatchedGrids, REL_GAP_DEFAULT, StabilityReport,
                      build_report, render_curves_csv, render_json, render_text)
 from .stability import PEAK_FLOOR_DEFAULT, Severity, analyze_response
@@ -33,24 +33,18 @@ def _spice_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
-def _gmin(text: str) -> float:
-    try:
-        value = parse_value(text)
-    except NetlistError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+def _number(relation: str):
+    """An argparse type for a SPICE number that is ``> 0`` or ``>= 0``."""
+    def check(text: str) -> float:
+        try:
+            value = parse_value(text)
+        except NetlistError:
+            value = math.nan
+        if not (value > 0 or relation == ">=" and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {relation} 0, got {text!r}")
+        return value
+    return check
 
 
 def _param_override(text: str) -> tuple[str, float]:
@@ -86,11 +80,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="sweep stop frequency in Hz (default 10G)")
     ap.add_argument("--ppd", type=int, default=100,
                     help="grid points per decade (default 100)")
-    ap.add_argument("--floor", type=_positive_float, default=PEAK_FLOOR_DEFAULT,
+    ap.add_argument("--floor", type=_number(">"), default=PEAK_FLOOR_DEFAULT,
                     help="peak detection floor on |P| (default 0.1)")
-    ap.add_argument("--gap", type=_positive_float, default=REL_GAP_DEFAULT,
+    ap.add_argument("--gap", type=_number(">"), default=REL_GAP_DEFAULT,
                     help="relative frequency gap for loop grouping (default 0.05)")
-    ap.add_argument("--gmin", type=_gmin, default=GMIN_DEFAULT,
+    ap.add_argument("--gmin", type=_number(">="), default=GMIN_DEFAULT,
                     help="node-to-ground conductance for solvability (default 1e-12)")
     ap.add_argument("--out", dest="out_path", metavar="PATH",
                     help="write the text report here instead of stdout")
@@ -135,7 +129,7 @@ def run(args: argparse.Namespace) -> int:
         for name, value in args.params:
             if name not in known:
                 # A misspelt override would otherwise audit the unmodified design.
-                raise UnresolvedParam(f"--param {name!r} is not a parameter of this netlist")
+                raise NetlistError(f"--param {name!r} is not a parameter of this netlist")
             parsed.params[name] = value
         net = elaborate(parsed)
         pattern = build_pattern(net, gmin=args.gmin)

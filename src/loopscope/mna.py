@@ -35,10 +35,6 @@ class MnaError(Exception):
     pass
 
 
-class UnknownNode(MnaError):
-    pass
-
-
 class SingularSystem(MnaError):
     """Singular (or numerically hopeless) system; names the unknown whose
     pivot vanished so floating nodes and source loops are identifiable."""
@@ -69,7 +65,7 @@ class MnaPattern:
         try:
             return self.node_rows[node.lower()]
         except KeyError:
-            raise UnknownNode(f"unknown node {node!r}") from None
+            raise MnaError(f"unknown node {node!r}") from None
 
 
 def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:

@@ -19,7 +19,9 @@ while a node is swept, so it cannot change the audit.
 
 Directives: ``.param NAME=VALUE``, ``.subckt NAME pins... / .ends``,
 ``.end``.  Other dot-directives are skipped with a warning so netlists
-exported from other simulators still load.
+exported from other simulators still load.  A ``.param`` line holds
+only assignments, and subcircuit pins are distinct non-ground names.
+Every parse or elaboration failure raises ``NetlistError``.
 
 Values take standard magnitude suffixes (t g meg k m u n p f, case
 insensitive) plus optional trailing unit letters after a suffix
@@ -46,39 +48,14 @@ from enum import Enum
 
 
 class NetlistError(Exception):
-    """Base class for netlist parsing/elaboration failures."""
+    """Netlist parsing or elaboration failure; the message starts with
+    ``line N: `` when the offending line is known."""
 
-
-class MalformedNumber(NetlistError):
-    pass
-
-
-class NetlistSyntaxError(NetlistError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class DuplicateElement(NetlistSyntaxError):
-    pass
-
-
-class UnknownElementPrefix(NetlistSyntaxError):
-    pass
-
-
-class UnknownSubcircuit(NetlistError):
-    pass
-
-
-class RecursiveSubcircuit(NetlistError):
-    pass
-
-
-class UnresolvedParam(NetlistError):
-    pass
 
 
 class ElementKind(Enum):
@@ -91,15 +68,6 @@ class ElementKind(Enum):
     VCCS = "G"
     CCCS = "F"
     CCVS = "H"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ElementKind":
-        # Flattened names like "X1.R1" carry the kind on the last segment.
-        letter = name.rsplit(".", 1)[-1][:1].upper()
-        try:
-            return cls(letter)
-        except ValueError:
-            raise UnknownElementPrefix(f"unknown element prefix {letter!r} in {name!r}") from None
 
 
 # Elements whose terminals constrain each other's voltages; used for the
@@ -128,7 +96,7 @@ def parse_value(token: str) -> float:
     """
     m = _NUMBER_RE.match(token)
     if m is None:
-        raise MalformedNumber(f"not a number: {token!r}")
+        raise NetlistError(f"not a number: {token!r}")
     value = float(m.group(0))
     rest = token[m.end():]
     if rest:
@@ -138,19 +106,19 @@ def parse_value(token: str) -> float:
         elif lower[0] in _SUFFIXES:
             mult, tail = _SUFFIXES[lower[0]], rest[1:]
         else:
-            raise MalformedNumber(f"unrecognized suffix {rest!r} in {token!r}")
+            raise NetlistError(f"unrecognized suffix {rest!r} in {token!r}")
         if tail and not tail.isalpha():
-            raise MalformedNumber(f"trailing garbage {tail!r} in {token!r}")
+            raise NetlistError(f"trailing garbage {tail!r} in {token!r}")
         value *= mult
     if not math.isfinite(value):
-        raise MalformedNumber(f"not a finite number: {token!r}")
+        raise NetlistError(f"not a finite number: {token!r}")
     return value
 
 
 def _is_number(token: str) -> bool:
     try:
         parse_value(token)
-    except MalformedNumber:
+    except NetlistError:
         return False
     return True
 
@@ -161,10 +129,10 @@ def _parse_value_or_ref(token: str, line: int) -> float | str:
         return token[1:-1].lower()
     try:
         return parse_value(token)
-    except MalformedNumber:
+    except NetlistError:
         if _IDENT_RE.match(token):
             return token.lower()
-        raise NetlistSyntaxError(f"bad value token {token!r}", line) from None
+        raise NetlistError(f"bad value token {token!r}", line) from None
 
 
 @dataclass
@@ -230,7 +198,7 @@ class _Lines:
         self.logical: list[tuple[int, str]] = []
         physical = source.splitlines()
         if not physical:
-            raise NetlistSyntaxError("empty netlist source")
+            raise NetlistError("empty netlist source")
         self.title = physical[0].strip()
         for lineno, raw in enumerate(physical[1:], start=2):
             stripped = raw.strip()
@@ -238,7 +206,7 @@ class _Lines:
                 continue
             if stripped.startswith("+"):
                 if not self.logical:
-                    raise NetlistSyntaxError("continuation with nothing to continue", lineno)
+                    raise NetlistError("continuation with nothing to continue", lineno)
                 prev_no, prev = self.logical[-1]
                 self.logical[-1] = (prev_no, prev + " " + stripped[1:].strip())
             else:
@@ -267,28 +235,40 @@ def parse(source: str) -> Netlist:
             if word == ".end":
                 break
             if word == ".param":
-                for name, val in _PARAM_ASSIGN_RE.findall(text[len(".param"):]):
+                body = text[len(".param"):]
+                assignments = _PARAM_ASSIGN_RE.findall(body)
+                for name, val in assignments:
                     net.params[name.lower()] = _parse_value_or_ref(val, lineno)
-                if not _PARAM_ASSIGN_RE.search(text[len(".param"):]):
-                    raise NetlistSyntaxError("empty .param directive", lineno)
+                if not assignments:
+                    raise NetlistError("empty .param directive", lineno)
+                leftover = _PARAM_ASSIGN_RE.sub(" ", body).split()
+                if leftover:
+                    raise NetlistError(f"bad .param assignment {leftover[0]!r}", lineno)
                 continue
             if word == ".subckt":
                 if subckt is not None:
-                    raise NetlistSyntaxError("nested .subckt definitions are not supported", lineno)
+                    raise NetlistError("nested .subckt definitions are not supported", lineno)
                 if len(tokens) < 3:
-                    raise NetlistSyntaxError(".subckt needs a name and at least one pin", lineno)
+                    raise NetlistError(".subckt needs a name and at least one pin", lineno)
                 key = tokens[1].lower()
                 if key in subckt_lines:
-                    raise NetlistSyntaxError(
+                    raise NetlistError(
                         f".subckt {tokens[1]!r} already defined on line {subckt_lines[key]}",
                         lineno)
                 subckt_lines[key] = lineno
-                subckt = Subcircuit(name=tokens[1], pins=[_normalize_node(t) for t in tokens[2:]])
+                pins_seen: set[str] = set()
+                for pin in tokens[2:]:
+                    if _normalize_node(pin) == "0":
+                        raise NetlistError(f".subckt {tokens[1]!r} pin {pin!r} is ground", lineno)
+                    if pin.lower() in pins_seen:
+                        raise NetlistError(f".subckt {tokens[1]!r} repeats pin {pin!r}", lineno)
+                    pins_seen.add(pin.lower())
+                subckt = Subcircuit(name=tokens[1], pins=tokens[2:])
                 sub_seen = {}
                 continue
             if word == ".ends":
                 if subckt is None:
-                    raise NetlistSyntaxError(".ends without .subckt", lineno)
+                    raise NetlistError(".ends without .subckt", lineno)
                 net.subcircuits[subckt.name.lower()] = subckt
                 subckt = None
                 continue
@@ -299,13 +279,13 @@ def parse(source: str) -> Netlist:
         name = tokens[0]
         key = name.lower()
         if key in scope_seen:
-            raise DuplicateElement(
+            raise NetlistError(
                 f"element {name!r} already defined on line {scope_seen[key]}", lineno)
         scope_seen[key] = lineno
 
         if key[0] == "x" and "." not in key:
             if len(tokens) < 3:
-                raise NetlistSyntaxError("instance needs nodes and a subcircuit name", lineno)
+                raise NetlistError("instance needs nodes and a subcircuit name", lineno)
             inst = Instance(name=name, nodes=[_normalize_node(t) for t in tokens[1:-1]],
                             subckt=tokens[-1], line=lineno)
             (subckt.instances if subckt is not None else net.instances).append(inst)
@@ -315,19 +295,21 @@ def parse(source: str) -> Netlist:
         (subckt.elements if subckt is not None else net.elements).append(elem)
 
     if subckt is not None:
-        raise NetlistSyntaxError(f".subckt {subckt.name!r} is missing its .ends")
+        raise NetlistError(f".subckt {subckt.name!r} is missing its .ends")
     return net
 
 
 def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
+    # Flattened names like "X1.R1" carry the kind on the last segment.
+    letter = name.rsplit(".", 1)[-1][:1].upper()
     try:
-        kind = ElementKind.from_name(name)
-    except UnknownElementPrefix as exc:
-        raise UnknownElementPrefix(str(exc), lineno) from None
+        kind = ElementKind(letter)
+    except ValueError:
+        raise NetlistError(f"unknown element prefix {letter!r} in {name!r}", lineno) from None
 
     if kind in (ElementKind.VCVS, ElementKind.VCCS):
         if len(tokens) != 6:
-            raise NetlistSyntaxError(
+            raise NetlistError(
                 f"{kind.value}-element needs 4 nodes and a gain", lineno)
         nodes = [_normalize_node(t) for t in tokens[1:5]]
         value = _parse_value_or_ref(tokens[5], lineno)
@@ -335,14 +317,14 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
 
     if kind in (ElementKind.CCCS, ElementKind.CCVS):
         if len(tokens) != 5:
-            raise NetlistSyntaxError(
+            raise NetlistError(
                 f"{kind.value}-element needs 2 nodes, a controlling V source and a gain", lineno)
         nodes = [_normalize_node(t) for t in tokens[1:3]]
         value = _parse_value_or_ref(tokens[4], lineno)
         return Element(name, kind, nodes, value, control_element=tokens[3])
 
     if len(tokens) < 3:
-        raise NetlistSyntaxError("element needs two nodes", lineno)
+        raise NetlistError("element needs two nodes", lineno)
     nodes = [_normalize_node(t) for t in tokens[1:3]]
     rest = tokens[3:]
 
@@ -356,8 +338,8 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                 if i + 1 < len(rest):
                     try:
                         ac = parse_value(rest[i + 1])
-                    except MalformedNumber:
-                        raise NetlistSyntaxError(
+                    except NetlistError:
+                        raise NetlistError(
                             f"bad value token {rest[i + 1]!r}", lineno) from None
                     i += 2
                     if i < len(rest) and _is_number(rest[i]):  # the phase
@@ -367,23 +349,23 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                     i += 1
             elif tok == "dc":
                 if i + 1 >= len(rest):
-                    raise NetlistSyntaxError("DC keyword needs a value", lineno)
+                    raise NetlistError("DC keyword needs a value", lineno)
                 value = _parse_value_or_ref(rest[i + 1], lineno)
                 i += 2
             elif i == 0:
                 value = _parse_value_or_ref(rest[i], lineno)
                 i += 1
             else:
-                raise NetlistSyntaxError(f"unexpected token {rest[i]!r}", lineno)
+                raise NetlistError(f"unexpected token {rest[i]!r}", lineno)
         if ac < 0:
-            raise NetlistSyntaxError("AC magnitude must be >= 0", lineno)
+            raise NetlistError("AC magnitude must be >= 0", lineno)
         return Element(name, kind, nodes, value, ac_magnitude=ac)
 
     if len(rest) != 1:
-        raise NetlistSyntaxError(f"{kind.value}-element needs exactly one value", lineno)
+        raise NetlistError(f"{kind.value}-element needs exactly one value", lineno)
     value = _parse_value_or_ref(rest[0], lineno)
     if isinstance(value, float) and value <= 0:
-        raise NetlistSyntaxError(
+        raise NetlistError(
             f"{kind.value}-element value must be strictly positive", lineno)
     return Element(name, kind, nodes, value)
 
@@ -401,7 +383,7 @@ def _resolve_params(params: dict[str, float | str]) -> dict[str, float]:
                 progressed = True
         if not progressed:
             names = ", ".join(sorted(pending))
-            raise UnresolvedParam(f"cannot resolve parameter(s): {names}")
+            raise NetlistError(f"cannot resolve parameter(s): {names}")
     return resolved
 
 
@@ -411,7 +393,7 @@ def _resolve_value(elem: Element, params: dict[str, float]) -> float:
     try:
         return params[elem.value]
     except KeyError:
-        raise UnresolvedParam(
+        raise NetlistError(
             f"element {elem.name!r} references undefined parameter {elem.value!r}") from None
 
 
@@ -435,7 +417,7 @@ def elaborate(net: Netlist) -> Netlist:
             value = _resolve_value(elem, params)
             if elem.kind in (ElementKind.RESISTOR, ElementKind.CAPACITOR,
                              ElementKind.INDUCTOR) and value <= 0:
-                raise NetlistSyntaxError(
+                raise NetlistError(
                     f"element {prefix + elem.name!r} value must be strictly positive")
             ctrl = elem.control_element
             flat_elements.append(Element(
@@ -449,15 +431,15 @@ def elaborate(net: Netlist) -> Netlist:
         for inst in instances:
             key = inst.subckt.lower()
             if key not in net.subcircuits:
-                raise UnknownSubcircuit(f"instance {prefix + inst.name!r} references "
-                                        f"undefined subcircuit {inst.subckt!r}")
+                raise NetlistError(f"instance {prefix + inst.name!r} references "
+                                   f"undefined subcircuit {inst.subckt!r}")
             if key in stack:
-                raise RecursiveSubcircuit(
+                raise NetlistError(
                     f"subcircuit {inst.subckt!r} instantiates itself "
                     f"(via {prefix + inst.name!r})")
             sub = net.subcircuits[key]
             if len(inst.nodes) != len(sub.pins):
-                raise NetlistSyntaxError(
+                raise NetlistError(
                     f"instance {prefix + inst.name!r} has {len(inst.nodes)} nodes, "
                     f"subcircuit {sub.name!r} has {len(sub.pins)} pins", inst.line)
             inner_pins = {pin.lower(): map_node(n)
@@ -471,7 +453,7 @@ def elaborate(net: Netlist) -> Netlist:
     for elem in flat_elements:
         key = elem.name.lower()
         if key in seen:
-            raise DuplicateElement(
+            raise NetlistError(
                 f"flattened element name {elem.name!r} collides with an existing element")
         seen.add(key)
 
@@ -487,7 +469,7 @@ def _validate_controls(net: Netlist):
     for elem in net.elements:
         if elem.kind in (ElementKind.CCCS, ElementKind.CCVS):
             if elem.control_element is None or elem.control_element.lower() not in vsources:
-                raise NetlistSyntaxError(
+                raise NetlistError(
                     f"element {elem.name!r} needs an existing V-source as control, "
                     f"got {elem.control_element!r}")
 

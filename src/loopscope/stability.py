@@ -30,7 +30,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .sweep import FrequencyGrid, NodeResponse
+from .sweep import BadRange, FrequencyGrid, NodeResponse
 
 PEAK_FLOOR_DEFAULT = 0.1
 #: A pole and a zero whose frequencies agree within this relative gap are
@@ -44,14 +44,6 @@ LOBE_RATIO = 4.0
 #: Severity grades by damping ratio: unstable-risk below the first,
 #: marginal below the second.
 SEVERITY_THRESHOLDS_DEFAULT = (0.3, 0.5)
-
-
-class GridTooShort(Exception):
-    pass
-
-
-class NonNegativeIndex(Exception):
-    pass
 
 
 class PeakKind(Enum):
@@ -130,7 +122,7 @@ def stability_curve(resp: NodeResponse) -> StabilityCurve:
     """
     n = len(resp.grid)
     if n < 3:
-        raise GridTooShort(f"need at least 3 grid points, got {n}")
+        raise BadRange(f"need at least 3 grid points, got {n}")
     mag = resp.magnitude / np.max(resp.magnitude)
     logm = np.log(mag)
     h = resp.grid.log_step
@@ -146,7 +138,7 @@ def stability_curve(resp: NodeResponse) -> StabilityCurve:
 def zeta_from_index(p_value: float) -> float:
     """Invert P = -1/zeta**2 for a negative pole-peak value."""
     if p_value >= 0:
-        raise NonNegativeIndex(f"pole peak value must be negative, got {p_value!r}")
+        raise ValueError(f"pole peak value must be negative, got {p_value!r}")
     return 1.0 / math.sqrt(-p_value)
 
 

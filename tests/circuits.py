@@ -6,6 +6,9 @@ transfer functions used as oracles are documented next to each builder.
 """
 
 import math
+from pathlib import Path
+
+CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
 
 L_HENRY = 1e-3
 C_FARAD = 1e-6
@@ -173,24 +176,7 @@ Hs out n2 Vs {rb!r}
 
 
 def hierarchical_opamp_buffer() -> str:
-    """Small-signal two-stage op-amp macromodel wired as a unity buffer;
-    exercises subcircuit expansion and parameter substitution."""
-    return """two-stage op-amp macromodel as unity-gain buffer
-.param cc=4p cl=50p
-Vin in 0 AC 1
-Xamp in out out twostage
-Rload out 0 10k
-Cload out 0 {cl}
-.subckt twostage inp inn out
-Gin n1 0 inp inn 200u
-R1 n1 0 2meg
-C1 n1 0 0.5p
-G2 n2 0 n1 0 2m
-R2 n2 0 50k
-C2 n2 0 1p
-Cc n1 n2 {cc}
-Eout eo 0 n2 0 1.0
-Ro eo out 200
-.ends
-.end
-"""
+    """The shipped two-stage op-amp macromodel wired as a unity buffer
+    (``circuits/opamp_buffer.cir``); exercises subcircuit expansion and
+    parameter substitution."""
+    return (CIRCUITS_DIR / "opamp_buffer.cir").read_text(encoding="utf-8")

@@ -13,8 +13,8 @@ import pytest
 from loopscope.cli import main
 
 import circuits
+from circuits import CIRCUITS_DIR
 
-CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
 README = Path(__file__).parent.parent / "README.md"
 SRC_DIR = Path(__file__).parent.parent / "src"
 
@@ -154,12 +154,22 @@ def test_two_point_grid_is_a_one_line_error(capsys, mode, fstop):
     assert "Traceback" not in err
 
 
-def test_unknown_node_exits_1(tmp_path, capsys):
-    path = write(tmp_path, "x.cir", circuits.resistive_divider())
-    code, _, err = run_cli(capsys, path, "--node", "nope",
-                           "--fstart", "1", "--fstop", "1k", "--ppd", "10")
+@pytest.mark.parametrize("source,node,expected", [
+    (circuits.resistive_divider(), "nope", "nope"),
+    ("t\nR1 a 0 1x\n.end\n", "a", "line 2: bad value token '1x'"),
+    ("t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n", "a",
+     "singular MNA system at unknown 'I(V2)'"),
+], ids=["unknown-node", "malformed-netlist", "singular-node"])
+def test_unknown_node_exits_1(tmp_path, capsys, source, node, expected):
+    path = write(tmp_path, "x.cir", source)
+    json_path = tmp_path / "rep.json"
+    code, out, err = run_cli(capsys, path, "--node", node, "--fstart", "1", "--fstop", "1k",
+                             "--ppd", "10", "--json", str(json_path))
     assert code == 1
-    assert "nope" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("loopscope: error: ")
+    assert expected in err
+    assert not json_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +212,14 @@ def test_param_referenced_but_not_declared_is_accepted(tmp_path, capsys):
     assert code == 0
     assert "Loop at 159 Hz" in out  # the RC corner 1/(2*pi*1k*1u)
     assert run_cli(capsys, path, *args)[0] == 1  # cx is undefined without it
+
+
+def test_floor_takes_spice_suffixes(capsys):
+    args = [str(CIRCUITS_DIR / "rlc_loop.cir"), "--all-nodes", "--fstart", "50",
+            "--fstop", "500k"]
+    outputs = [run_cli(capsys, *args, "--floor", floor) for floor in ("100m", "0.1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 2
 
 
 def test_gmin_decides_which_nodes_solve(tmp_path, capsys):

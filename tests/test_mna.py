@@ -1,7 +1,6 @@
 """MNA matrix and solver tests, checked against closed-form impedances."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import scipy.linalg
 from loopscope.mna import (
     MnaError,
     SingularSystem,
-    UnknownNode,
     build_pattern,
     solve,
 )
@@ -24,8 +22,7 @@ from loopscope.stability import (
 from loopscope.sweep import make_grid, sweep_all_nodes
 
 import circuits
-
-CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
+from circuits import CIRCUITS_DIR
 
 
 def _net(src):
@@ -131,7 +128,7 @@ def test_pattern_requires_flat_netlist():
 def test_unknown_injection_node():
     net = _net("t\nR1 a 0 1k\n.end\n")
     pattern = build_pattern(net)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(MnaError, match="^unknown node 'zz'$"):
         _inject(pattern, "zz", 1.0)
 
 
