@@ -6,9 +6,10 @@ VCVS, CCVS) and for inductors, which are stamped in branch form
 
     V_a - V_b - jwL * I_L = 0
 
-so the w -> 0 limit stays finite.  Every stamp is either real or a
-multiple of jw, so the system matrix splits into two real matrices built
-once per netlist, Y(w) = G + jw*C.
+so the w -> 0 limit stays finite.  A CCCS or CCVS must name an
+independent V source as its control; any other name raises ``MnaError``.
+Every stamp is either real or a multiple of jw, so the system matrix
+splits into two real matrices built once per netlist, Y(w) = G + jw*C.
 
 A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import ElementKind, Netlist
+from .netlist import Element, ElementKind, Netlist
 
 GMIN_DEFAULT = 1e-12
 
@@ -56,7 +57,6 @@ class MnaPattern:
     n_nodes: int
     dim: int
     node_rows: dict[str, int]        # lowercased node name -> matrix row
-    branch_map: dict[str, int]       # lowercased element name -> branch row
     labels: list[str]                # per unknown: node name or "I(elem)"
     G: np.ndarray                    # real part of Y(w), gmin included
     C: np.ndarray                    # coefficient of jw in Y(w)
@@ -84,6 +84,9 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
                          ElementKind.CCVS, ElementKind.INDUCTOR):
             branch_map[elem.name.lower()] = n_nodes + len(branch_map)
             labels.append(f"I({elem.name})")
+    # A CCCS/CCVS senses the current of an independent V source only.
+    vsource_rows = {e.name.lower(): branch_map[e.name.lower()]
+                    for e in net.elements if e.kind is ElementKind.VSOURCE}
 
     dim = n_nodes + len(branch_map)
     G = np.zeros((dim, dim))
@@ -130,24 +133,26 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
             put(a, c, val); put(a, d, -val)
             put(b, c, -val); put(b, d, val)
         elif kind is ElementKind.CCCS:
-            kc = _control_branch(branch_map, elem.control_element, elem.name)
+            kc = _control_branch(vsource_rows, elem)
             put(a, kc, val); put(b, kc, -val)
         elif kind is ElementKind.CCVS:
             k = branch_map[elem.name.lower()]
-            kc = _control_branch(branch_map, elem.control_element, elem.name)
+            kc = _control_branch(vsource_rows, elem)
             branch(a, b, k)
             put(k, kc, -val)
     if gmin:
         idx = np.arange(n_nodes)
         G[idx, idx] += gmin
     return MnaPattern(n_nodes=n_nodes, dim=dim, node_rows=node_rows,
-                      branch_map=branch_map, labels=labels, G=G, C=C)
+                      labels=labels, G=G, C=C)
 
 
-def _control_branch(branch_map: dict[str, int], ctrl: str | None, owner: str) -> int:
-    if ctrl is None or ctrl.lower() not in branch_map:
-        raise MnaError(f"element {owner!r} controlled by unknown source {ctrl!r}")
-    return branch_map[ctrl.lower()]
+def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
+    try:
+        return vsource_rows[(elem.control_element or "").lower()]
+    except KeyError:
+        raise MnaError(f"element {elem.name!r} needs an existing V-source as control, "
+                       f"got {elem.control_element!r}") from None
 
 
 def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,

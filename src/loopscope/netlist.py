@@ -14,14 +14,18 @@ Supported element cards (one per logical line, ``+`` continues a line,
     Hname  a b  Vctrl  rtrans            CCVS, controlled by current through Vctrl
     Xname  n1 n2 ... subname             subcircuit instance
 
-A source's AC phase is accepted and ignored: every source is zeroed
-while a node is swept, so it cannot change the audit.
+A source's DC value, AC magnitude and AC phase are validated, then
+ignored: every source is zeroed while a node is swept, so they cannot
+change the audit.  Which element may control a CCCS/CCVS is checked by
+``mna.build_pattern``, not here.
 
 Directives: ``.param NAME=VALUE``, ``.subckt NAME pins... / .ends``,
 ``.end``.  Other dot-directives are skipped with a warning so netlists
 exported from other simulators still load.  A ``.param`` line holds
-only assignments, and subcircuit pins are distinct non-ground names.
-Every parse or elaboration failure raises ``NetlistError``.
+only assignments.  Parameter names are global, also when set inside a
+``.subckt``, and each is defined once.  Subcircuit pins are distinct
+non-ground names.  Every parse or elaboration failure raises
+``NetlistError``.
 
 Values take standard magnitude suffixes (t g meg k m u n p f, case
 insensitive) plus optional trailing unit letters after a suffix
@@ -141,7 +145,6 @@ class Element:
     kind: ElementKind
     nodes: list[str]
     value: float | str          # str until parameters are resolved
-    ac_magnitude: float = 0.0   # independent sources only
     control_element: str | None = None  # CCCS/CCVS: name of sensed V source
 
 
@@ -226,6 +229,7 @@ def parse(source: str) -> Netlist:
     subckt: Subcircuit | None = None
     sub_seen: dict[str, int] = {}
     subckt_lines: dict[str, int] = {}
+    param_lines: dict[str, int] = {}
 
     for lineno, text in lines.logical:
         tokens = text.split()
@@ -238,7 +242,13 @@ def parse(source: str) -> Netlist:
                 body = text[len(".param"):]
                 assignments = _PARAM_ASSIGN_RE.findall(body)
                 for name, val in assignments:
-                    net.params[name.lower()] = _parse_value_or_ref(val, lineno)
+                    key = name.lower()
+                    if key in param_lines:
+                        raise NetlistError(
+                            f".param {name!r} already defined on line {param_lines[key]}",
+                            lineno)
+                    param_lines[key] = lineno
+                    net.params[key] = _parse_value_or_ref(val, lineno)
                 if not assignments:
                     raise NetlistError("empty .param directive", lineno)
                 leftover = _PARAM_ASSIGN_RE.sub(" ", body).split()
@@ -359,7 +369,7 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                 raise NetlistError(f"unexpected token {rest[i]!r}", lineno)
         if ac < 0:
             raise NetlistError("AC magnitude must be >= 0", lineno)
-        return Element(name, kind, nodes, value, ac_magnitude=ac)
+        return Element(name, kind, nodes, value)
 
     if len(rest) != 1:
         raise NetlistError(f"{kind.value}-element needs exactly one value", lineno)
@@ -425,7 +435,6 @@ def elaborate(net: Netlist) -> Netlist:
                 kind=elem.kind,
                 nodes=[map_node(n) for n in elem.nodes],
                 value=value,
-                ac_magnitude=elem.ac_magnitude,
                 control_element=prefix + ctrl if ctrl else None,
             ))
         for inst in instances:
@@ -457,21 +466,9 @@ def elaborate(net: Netlist) -> Netlist:
                 f"flattened element name {elem.name!r} collides with an existing element")
         seen.add(key)
 
-    flat = Netlist(title=net.title, elements=flat_elements,
-                   params=params, warnings=list(net.warnings))
-    _validate_controls(flat)
+    flat = Netlist(title=net.title, elements=flat_elements, warnings=list(net.warnings))
     flat.warnings.extend(_floating_node_warnings(flat))
     return flat
-
-
-def _validate_controls(net: Netlist):
-    vsources = {e.name.lower() for e in net.elements if e.kind is ElementKind.VSOURCE}
-    for elem in net.elements:
-        if elem.kind in (ElementKind.CCCS, ElementKind.CCVS):
-            if elem.control_element is None or elem.control_element.lower() not in vsources:
-                raise NetlistError(
-                    f"element {elem.name!r} needs an existing V-source as control, "
-                    f"got {elem.control_element!r}")
 
 
 def _floating_node_warnings(net: Netlist) -> list[str]:

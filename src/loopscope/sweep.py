@@ -36,28 +36,21 @@ class BadRange(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform-in-log frequency grid, endpoints included."""
+    """Uniform-in-log frequency grid, endpoints included.  Two grids are
+    equal when their range and density are: ``make_grid`` derives the
+    frequencies from those alone."""
 
     f_start: float
     f_stop: float
     points_per_decade: int
-    freqs: np.ndarray
-    log_step: float  # uniform spacing of ln(f), == ln(10)/ppd for whole decades
+    freqs: np.ndarray = field(compare=False)
+    # uniform spacing of ln(f), == ln(10)/ppd for whole decades
+    log_step: float = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.freqs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FrequencyGrid)
-                and self.f_start == other.f_start
-                and self.f_stop == other.f_stop
-                and self.points_per_decade == other.points_per_decade
-                and np.array_equal(self.freqs, other.freqs))
-
-    def __hash__(self):
-        return hash((self.f_start, self.f_stop, self.points_per_decade, len(self.freqs)))
 
 
 def make_grid(f_start: float = 1.0, f_stop: float = 1e10,

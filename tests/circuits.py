@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 
 CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 L_HENRY = 1e-3
 C_FARAD = 1e-6
@@ -180,3 +181,17 @@ def hierarchical_opamp_buffer() -> str:
     (``circuits/opamp_buffer.cir``); exercises subcircuit expansion and
     parameter substitution."""
     return (CIRCUITS_DIR / "opamp_buffer.cir").read_text(encoding="utf-8")
+
+
+def ladder(n: int) -> str:
+    """``Rs in 0 50``, then n sections of series L 1u and R 0.5 with C 1n
+    to ground, then ``Rl 50``: 2n+1 nodes, MNA dimension 3n+1.  Its n
+    lightly damped pole pairs crowd into one octave, so the all-nodes
+    report has many overlapping peaks."""
+    lines = [f"ladder({n})", "Rs in 0 50"]
+    prev = "in"
+    for k in range(1, n + 1):
+        lines += [f"L{k} {prev} m{k} 1u", f"R{k} m{k} s{k} 0.5", f"C{k} s{k} 0 1n"]
+        prev = f"s{k}"
+    lines += [f"Rl {prev} 0 50", ".end", ""]
+    return "\n".join(lines)

@@ -11,7 +11,6 @@ canonical second-order loop by an independent numerical route.
 import functools
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +32,7 @@ from loopscope.stability import (
 from loopscope.sweep import inject_node, make_grid, sweep_all_nodes
 
 import circuits
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
+from circuits import GOLDEN_DIR
 
 
 def criterion(num, title):

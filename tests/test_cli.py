@@ -13,7 +13,7 @@ import pytest
 from loopscope.cli import main
 
 import circuits
-from circuits import CIRCUITS_DIR
+from circuits import CIRCUITS_DIR, GOLDEN_DIR
 
 README = Path(__file__).parent.parent / "README.md"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -159,7 +159,12 @@ def test_two_point_grid_is_a_one_line_error(capsys, mode, fstop):
     ("t\nR1 a 0 1x\n.end\n", "a", "line 2: bad value token '1x'"),
     ("t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n", "a",
      "singular MNA system at unknown 'I(V2)'"),
-], ids=["unknown-node", "malformed-netlist", "singular-node"])
+    ("t\n.param r=1k\nR1 a 0 {r}\n.param r=2k\n.end\n", "a",
+     "line 4: .param 'r' already defined on line 2"),
+    ("t\nV1 a 0 AC 1\nR1 a 0 1k\nL1 a c 1m\nR3 c 0 10\nF1 b 0 L1 2\nR2 b 0 1k\n.end\n",
+     "b", "element 'F1' needs an existing V-source as control, got 'L1'"),
+], ids=["unknown-node", "malformed-netlist", "singular-node", "repeated-param",
+        "inductor-control"])
 def test_unknown_node_exits_1(tmp_path, capsys, source, node, expected):
     path = write(tmp_path, "x.cir", source)
     json_path = tmp_path / "rep.json"
@@ -242,6 +247,15 @@ def test_text_output_byte_stable(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     assert "generated" not in out1
+
+
+def test_crowded_ladder_all_nodes_report_is_byte_stable(tmp_path, capsys):
+    # ladder(10): 21 nodes and 9 pole pairs between 1.8 and 10 MHz.
+    path = write(tmp_path, "ladder10.cir", circuits.ladder(10))
+    code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1k", "--fstop", "1g")
+    assert code == 2
+    assert err == ""
+    assert out == (GOLDEN_DIR / "ladder10_all_nodes.txt").read_text(encoding="utf-8")
 
 
 def test_source_ac_phase_does_not_change_the_report(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_reactive_stamps_land_in_c():
     net = _net("t\nC1 a b 2n\nL1 b 0 3u\nR1 a 0 1k\n.end\n")
     pattern = build_pattern(net, gmin=0.0)
     ia, ib = pattern.row_of_node("a"), pattern.row_of_node("b")
-    k = pattern.branch_map["l1"]
+    k = pattern.labels.index("I(L1)")
     expected_c = np.zeros((pattern.dim, pattern.dim))
     expected_c[ia, ia] = expected_c[ib, ib] = 2e-9
     expected_c[ia, ib] = expected_c[ib, ia] = -2e-9
@@ -97,7 +97,7 @@ def test_controlled_voltage_and_current_source_stamps():
                "H1 d 0 V1 50\nR1 a 0 1\nR2 b 0 1\nR3 c 0 1\nR4 d 0 1\n.end\n")
     pattern = build_pattern(net, gmin=0.0)
     G = pattern.G
-    kv, ke, kh = (pattern.branch_map[n] for n in ("v1", "e1", "h1"))
+    kv, ke, kh = (pattern.labels.index(f"I({n})") for n in ("V1", "E1", "H1"))
     ia, ib, ic, id_ = (pattern.row_of_node(n) for n in "abcd")
     assert G[ke, ia] == 1.0 and G[ia, ke] == 1.0 and G[ke, ic] == -2.0
     assert G[ib, kv] == 3.0
@@ -123,6 +123,22 @@ def test_pattern_requires_flat_netlist():
     # No instances, but a parameter reference is still unresolved.
     with pytest.raises(MnaError, match="must be elaborated"):
         build_pattern(parse("t\n.param r=1k\nR1 a 0 {r}\n.end\n"))
+
+
+@pytest.mark.parametrize("load", [_net, parse], ids=["elaborate", "parse"])
+@pytest.mark.parametrize("cards,ctrl", [
+    ("R1 a 0 1", "Vmissing"),
+    ("R1 a 0 1\nL1 a c 1m\nR3 c 0 10", "L1"),
+    ("R1 a 0 1\nE1 c 0 a 0 2\nR3 c 0 10", "E1"),
+], ids=["missing", "inductor", "vcvs"])
+def test_control_must_be_a_vsource(load, cards, ctrl):
+    # Only an independent V source's branch current may control a CCCS;
+    # an inductor or VCVS has a branch row too, but is not a control.
+    net = load(f"t\nF1 b 0 {ctrl} 2\nR2 b 0 1\n{cards}\n.end\n")
+    with pytest.raises(MnaError,
+                       match=f"^element 'F1' needs an existing V-source as control, "
+                             f"got '{ctrl}'$"):
+        build_pattern(net)
 
 
 def test_unknown_injection_node():
@@ -358,7 +374,7 @@ def _true_overshoot(pattern):
     (an algebraic unknown) contributes w at once.  Its poles are -1/lam.
     """
     b = np.zeros(pattern.dim)
-    b[pattern.branch_map["vin"]] = 1.0
+    b[pattern.labels.index("I(Vin)")] = 1.0
     lam, vec = np.linalg.eig(np.linalg.solve(pattern.G, pattern.C))
     w = np.linalg.solve(vec, np.linalg.solve(pattern.G, b).astype(complex))
     dynamic = np.abs(lam) > 1e-9 * np.max(np.abs(lam))

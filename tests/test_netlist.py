@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopscope.netlist import (
+    Element,
     ElementKind,
     NetlistError,
     elaborate,
@@ -90,7 +91,6 @@ def test_parse_vsource_ac():
     net = parse("t\nV1 in 0 AC 1\n.end\n")
     (v,) = net.elements
     assert v.kind is ElementKind.VSOURCE
-    assert v.ac_magnitude == 1.0
     assert v.value == 0.0
 
 
@@ -98,20 +98,18 @@ def test_parse_vsource_dc_and_ac():
     net = parse("t\nV1 in 0 2.5 AC 0.5\n.end\n")
     (v,) = net.elements
     assert v.value == 2.5
-    assert v.ac_magnitude == 0.5
 
 
-@pytest.mark.parametrize("card,kind,dc,ac", [
-    ("V1 a 0 DC 0 AC 1 0", ElementKind.VSOURCE, 0.0, 1.0),
-    ("V1 a 0 AC 1 90", ElementKind.VSOURCE, 0.0, 1.0),
-    ("I1 a 0 AC 2 90", ElementKind.ISOURCE, 0.0, 2.0),
-    ("V1 a 0 AC 1 -45 DC 3", ElementKind.VSOURCE, 3.0, 1.0),
+@pytest.mark.parametrize("card,kind,dc", [
+    ("V1 a 0 DC 0 AC 1 0", ElementKind.VSOURCE, 0.0),
+    ("V1 a 0 AC 1 90", ElementKind.VSOURCE, 0.0),
+    ("I1 a 0 AC 2 90", ElementKind.ISOURCE, 0.0),
+    ("V1 a 0 AC 1 -45 DC 3", ElementKind.VSOURCE, 3.0),
 ], ids=["V-dc-ac-phase", "V-ac-phase", "I-ac-phase", "V-ac-phase-then-dc"])
-def test_parse_source_ac_phase_is_ignored(card, kind, dc, ac):
+def test_parse_source_ac_phase_is_ignored(card, kind, dc):
+    # The AC clause is validated, then dropped: the element keeps no trace of it.
     src = parse(f"t\n{card}\nR1 a 0 1\n.end\n").elements[0]
-    assert src.kind is kind
-    assert src.value == dc
-    assert src.ac_magnitude == ac
+    assert src == Element(card.split()[0], kind, ["a", "0"], dc)
 
 
 def test_parse_source_non_numeric_after_ac_magnitude_rejected():
@@ -119,9 +117,14 @@ def test_parse_source_non_numeric_after_ac_magnitude_rejected():
         parse("t\nV1 a 0 AC 1 deg\n.end\n")
 
 
-def test_parse_ac_keyword_without_magnitude_defaults_to_one():
+def test_parse_ac_keyword_without_magnitude_loads():
     net = parse("t\nI1 a 0 AC\n.end\n")
-    assert net.elements[0].ac_magnitude == 1.0
+    assert net.elements == [Element("I1", ElementKind.ISOURCE, ["a", "0"], 0.0)]
+
+
+def test_parse_negative_ac_magnitude_rejected():
+    with pytest.raises(NetlistError, match="^line 2: AC magnitude must be >= 0$"):
+        parse("t\nV1 a 0 AC -1\n.end\n")
 
 
 def test_parse_vccs_arity():
@@ -215,6 +218,26 @@ def test_parse_param_directive():
 def test_parse_param_leftover_token_rejected(card, token):
     with pytest.raises(NetlistError, match=f"^line 2: bad .param assignment '{token}'$"):
         parse(f"t\n{card}\nR1 a 0 {{r}}\n.end\n")
+
+
+@pytest.mark.parametrize("body,message", [
+    (".param a=1k\nR1 x 0 {a}\n.param a=2k",
+     "line 4: .param 'a' already defined on line 2"),
+    (".param a=1k a=2k\nR1 x 0 {a}",
+     "line 2: .param 'a' already defined on line 2"),
+    (".param R=1k\n.param rr=1 r=2k\nR1 x 0 {r}",
+     "line 3: .param 'r' already defined on line 2"),
+    ("X1 x blk1\nX2 x blk2\n.subckt blk1 p\n.param r=1k\nR1 p 0 {r}\n.ends\n"
+     ".subckt blk2 p\n.param r=5k\nR1 p 0 {r}\n.ends",
+     "line 9: .param 'r' already defined on line 5"),
+    (".param r=1k\nX1 x blk\n.subckt blk p\n.param R=5k\nR1 p 0 {r}\n.ends",
+     "line 5: .param 'R' already defined on line 2"),
+], ids=["top-level", "same-line", "case-insensitive", "two-subckts", "subckt-and-top"])
+def test_parse_repeated_param_rejected(body, message):
+    # Parameter names are global, so a second assignment would silently
+    # replace the first everywhere it is used.
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+        parse(f"t\n{body}\n.end\n")
 
 
 @pytest.mark.parametrize("pins,message", [
@@ -334,13 +357,6 @@ def test_elaborate_floating_node_warning_for_isource_only_node():
 def test_elaborate_positive_value_check_through_params():
     with pytest.raises(NetlistError, match="^element 'R1' value must be strictly positive$"):
         elaborate(parse("t\n.param bad=0\nR1 a 0 {bad}\n.end\n"))
-
-
-def test_elaborate_dangling_control():
-    with pytest.raises(NetlistError,
-                       match="^element 'F1' needs an existing V-source as control, "
-                             "got 'Vmissing'$"):
-        elaborate(parse("t\nF1 a 0 Vmissing 2\nR1 a 0 1\n.end\n"))
 
 
 def test_elaborate_rejects_flattened_name_collision():
