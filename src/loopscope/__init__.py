@@ -10,26 +10,42 @@ closed-form second-order relations.  No feedback loop is ever broken.
 
 The pipeline's entry points are re-exported here; every other public
 name imports from its own module (``loopscope.stability.Peak``, ...).
+``import loopscope`` loads only the netlist front end (``parse``,
+``elaborate``), which needs no numpy.  The numeric layers ``mna``,
+``sweep``, ``stability`` and ``report``, and the names exported from
+them, load on first access (PEP 562).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
 from .netlist import NetlistError, elaborate, parse, parse_value
-from .mna import SingularSystem, build_pattern
-from .sweep import BadRange, inject_node, make_grid, sweep_all_nodes
-from .stability import analyze_response
-from .report import build_report, render_curves_csv, render_json, render_text
 
-__all__ = [
-    "__version__",
-    # netlist
-    "parse", "elaborate", "parse_value", "NetlistError",
-    # mna
-    "build_pattern", "SingularSystem",
-    # sweep
-    "make_grid", "BadRange", "inject_node", "sweep_all_nodes",
-    # stability
-    "analyze_response",
-    # report
-    "build_report", "render_text", "render_json", "render_curves_csv",
-]
+# Name -> numeric layer that defines it; the layer loads on first access.
+_LAZY = {
+    "build_pattern": "mna", "SingularSystem": "mna",
+    "make_grid": "sweep", "BadRange": "sweep", "inject_node": "sweep",
+    "sweep_all_nodes": "sweep",
+    "analyze_response": "stability",
+    "build_report": "report", "render_text": "report", "render_json": "report",
+    "render_curves_csv": "report",
+}
+_LAYERS = frozenset(_LAZY.values())
+
+__all__ = ["__version__", "parse", "elaborate", "parse_value", "NetlistError", *_LAZY]
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -339,12 +339,14 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
     rest = tokens[3:]
 
     if kind in (ElementKind.VSOURCE, ElementKind.ISOURCE):
-        value: float | str = 0.0
-        ac = 0.0
+        value: float | str | None = None
+        ac: float | None = None
         i = 0
         while i < len(rest):
             tok = rest[i].lower()
             if tok == "ac":
+                if ac is not None:
+                    raise NetlistError("source card gives its AC clause twice", lineno)
                 if i + 1 < len(rest):
                     try:
                         ac = parse_value(rest[i + 1])
@@ -358,6 +360,8 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                     ac = 1.0
                     i += 1
             elif tok == "dc":
+                if value is not None:
+                    raise NetlistError("source card gives its DC value twice", lineno)
                 if i + 1 >= len(rest):
                     raise NetlistError("DC keyword needs a value", lineno)
                 value = _parse_value_or_ref(rest[i + 1], lineno)
@@ -367,9 +371,9 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
                 i += 1
             else:
                 raise NetlistError(f"unexpected token {rest[i]!r}", lineno)
-        if ac < 0:
+        if ac is not None and ac < 0:
             raise NetlistError("AC magnitude must be >= 0", lineno)
-        return Element(name, kind, nodes, value)
+        return Element(name, kind, nodes, 0.0 if value is None else value)
 
     if len(rest) != 1:
         raise NetlistError(f"{kind.value}-element needs exactly one value", lineno)

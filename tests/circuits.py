@@ -6,10 +6,19 @@ transfer functions used as oracles are documented next to each builder.
 """
 
 import math
+import os
 from pathlib import Path
 
 CIRCUITS_DIR = Path(__file__).parent.parent / "circuits"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
+
+
+def src_env():
+    """Environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 L_HENRY = 1e-3
 C_FARAD = 1e-6

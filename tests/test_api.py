@@ -1,9 +1,13 @@
 """The package's public surface: the names ``import loopscope`` exports."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import loopscope
+
+from circuits import CIRCUITS_DIR, src_env
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -24,3 +28,33 @@ def test_public_names_resolve_and_cover_the_readme_example():
     block = re.search(r"from loopscope import \(([^)]*)\)", library)
     imported = {name.strip() for name in block.group(1).split(",")}
     assert imported and imported <= PUBLIC
+
+
+LAZY_PROBE = """
+import sys
+import loopscope
+with open(sys.argv[1], encoding="utf-8") as fh:
+    loopscope.elaborate(loopscope.parse(fh.read()))
+assert "numpy" not in sys.modules, "numpy was imported"
+assert loopscope.stability.Peak.__module__ == "loopscope.stability"
+assert loopscope.report.StabilityReport.__module__ == "loopscope.report"
+assert loopscope.build_pattern is sys.modules["loopscope.mna"].build_pattern
+star = {}
+exec("from loopscope import *", star)
+assert sorted(set(star) - {"__builtins__"}) == sorted(loopscope.__all__)
+assert set(loopscope.__all__) <= set(dir(loopscope))
+try:
+    loopscope.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("loopscope.no_such_name resolved")
+"""
+
+
+def test_netlist_front_end_loads_without_numpy():
+    # The numeric layers load on first access; parsing never needs them.
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, str(CIRCUITS_DIR / "opamp_buffer.cir")],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr

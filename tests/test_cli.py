@@ -1,7 +1,6 @@
 """Command-line behaviour: run modes, outputs, exit codes."""
 
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -13,10 +12,9 @@ import pytest
 from loopscope.cli import main
 
 import circuits
-from circuits import CIRCUITS_DIR, GOLDEN_DIR
+from circuits import CIRCUITS_DIR, GOLDEN_DIR, src_env
 
 README = Path(__file__).parent.parent / "README.md"
-SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def write(tmp_path, name, text):
@@ -29,13 +27,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def src_env():
-    """Environment for a child interpreter that imports this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    return env
 
 
 # ---------------------------------------------------------------------------

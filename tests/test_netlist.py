@@ -127,6 +127,21 @@ def test_parse_negative_ac_magnitude_rejected():
         parse("t\nV1 a 0 AC -1\n.end\n")
 
 
+@pytest.mark.parametrize("card,clause", [
+    ("V1 a 0 DC 1 DC 2", "DC value"),
+    ("I1 a 0 DC 1 AC 1 DC 3", "DC value"),
+    ("V1 a 0 1 DC 2", "DC value"),
+    ("V1 a 0 AC -1 AC 2", "AC clause"),
+    ("V1 a 0 AC -1 AC", "AC clause"),
+    ("I1 a 0 AC 1 90 DC 0 AC 1", "AC clause"),
+], ids=["V-dc-dc", "I-dc-ac-dc", "V-positional-dc", "V-ac-ac", "V-ac-bare-ac",
+        "I-ac-phase-dc-ac"])
+def test_parse_source_repeated_value_clause_rejected(card, clause):
+    # A second clause would silently replace the first one.
+    with pytest.raises(NetlistError, match=f"^line 3: source card gives its {clause} twice$"):
+        parse(f"t\nR0 a 0 1k\n{card}\n.end\n")
+
+
 def test_parse_vccs_arity():
     net = parse("t\nG1 out 0 in 0 1m\n.end\n")
     (g,) = net.elements
