@@ -25,8 +25,7 @@ from .netlist import NetlistError, elaborate, parse, parse_value
 # Name -> numeric layer that defines it; the layer loads on first access.
 _LAZY = {
     "build_pattern": "mna", "SingularSystem": "mna",
-    "make_grid": "sweep", "BadRange": "sweep", "inject_node": "sweep",
-    "sweep_all_nodes": "sweep",
+    "make_grid": "sweep", "BadRange": "sweep", "sweep_all_nodes": "sweep",
     "analyze_response": "stability",
     "build_report": "report", "render_text": "report", "render_json": "report",
     "render_curves_csv": "report",

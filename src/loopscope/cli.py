@@ -1,25 +1,28 @@
 """Command-line front end.
 
-Two run modes mirror the library pipeline: ``--node NAME`` sweeps and
-grades a single node, ``--all-nodes`` audits every non-ground node and
-groups the findings into loops.  The exit status is scriptable: 0 for a
-clean run, 2 when any loop grades as unstable-risk, 1 on errors.
+``--node NAME`` audits a single node and ``--all-nodes`` every non-ground
+node (``--filter GLOB`` keeps the matching ones).  Both are one run of the
+library pipeline over a list of nodes, so they share the report, the
+grouping of findings into loops and the failure policy.  The exit status
+is scriptable: 0 for a clean run, 2 when any loop grades as
+unstable-risk, 1 on errors, including an audit that analysed no node.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import fnmatch
 import math
 import sys
 
 from . import __version__
 from .mna import GMIN_DEFAULT, MnaError, build_pattern
 from .netlist import Netlist, NetlistError, elaborate, parse, parse_value
-from .report import (MismatchedGrids, REL_GAP_DEFAULT, StabilityReport,
-                     build_report, render_curves_csv, render_json, render_text)
+from .report import (REL_GAP_DEFAULT, StabilityReport, build_report,
+                     render_curves_csv, render_json, render_text)
 from .stability import PEAK_FLOOR_DEFAULT, Severity, analyze_response
-from .sweep import BadRange, inject_node, make_grid, sweep_all_nodes
+from .sweep import BadRange, make_grid, sweep_all_nodes
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -134,32 +137,30 @@ def run(args: argparse.Namespace) -> int:
         net = elaborate(parsed)
         pattern = build_pattern(net, gmin=args.gmin)
 
+        nodes = None if args.node is None else [args.node]
+        if args.node_filter is not None:
+            glob = args.node_filter.lower()
+            nodes = [n for n in net.nodes if fnmatch.fnmatchcase(n.lower(), glob)]
+        swept = sweep_all_nodes(pattern, grid, nodes)
         curves = []
         peaks = []
-        errors: dict[str, str] = {}
-        if args.node is not None:
-            responses = [inject_node(pattern, args.node, grid)]
-        else:
-            swept = sweep_all_nodes(pattern, grid, node_filter=args.node_filter)
-            responses = swept.responses
-            errors = swept.errors
-        for resp in responses:
+        for resp in swept.responses:
             curve, node_peaks = analyze_response(resp, floor=args.floor)
             curves.append(curve)
             peaks.extend(node_peaks)
         report = build_report(net.title, grid, peaks,
                               warnings=net.warnings,
-                              per_node_errors=errors,
+                              per_node_errors=swept.errors,
                               rel_gap=args.gap)
         _emit(args, report, curves)
-    except (NetlistError, MnaError, BadRange, MismatchedGrids, OSError) as exc:
+    except (NetlistError, MnaError, BadRange, OSError) as exc:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if not responses:
+    if not swept.responses:
         # Nothing was analysed, so "no loops" would be a false all-clear.
-        if errors:
-            reason = f"all {len(errors)} swept node(s) failed to solve"
+        if swept.errors:
+            reason = f"all {len(swept.errors)} swept node(s) failed to solve"
         elif args.node_filter is not None:
             reason = f"no node matches --filter {args.node_filter!r}"
         else:
@@ -178,7 +179,7 @@ def _emit(args: argparse.Namespace, report: StabilityReport, curves):
     if args.stamp:
         now = datetime.datetime.now().isoformat(timespec="seconds")
         text = f"generated {now}\n{text}"
-    csv_text = render_curves_csv(curves) if args.csv_path else None
+    csv_text = render_curves_csv(report.grid, curves) if args.csv_path else None
     json_text = render_json(report) if args.json_path else None
     if args.out_path:
         _write(args.out_path, text)

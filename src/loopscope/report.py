@@ -29,10 +29,6 @@ REL_GAP_DEFAULT = 0.05
 JSON_SCHEMA = "loopscope-report-1"
 
 
-class MismatchedGrids(Exception):
-    pass
-
-
 @dataclass
 class LoopGroup:
     """One loop: its pole peaks, deepest first.  The loop's grade is its
@@ -183,15 +179,13 @@ def render_text(report: StabilityReport) -> str:
     return "\n".join(out)
 
 
-def render_curves_csv(curves: list[StabilityCurve]) -> str:
-    """CSV dump of magnitude and stability curves over the interior grid
-    points (the difference stencil trims one point per end)."""
-    if not curves:
-        raise MismatchedGrids("no curves to render")
-    grid = curves[0].grid
+def render_curves_csv(grid: FrequencyGrid, curves: list[StabilityCurve]) -> str:
+    """CSV dump of magnitude and stability curves over the interior points
+    of ``grid`` (the difference stencil trims one point per end); with no
+    curves only the ``freq_hz`` column.  Every curve must use ``grid``."""
     for curve in curves:
         if curve.grid != grid:
-            raise MismatchedGrids(f"curve for node {curve.node!r} uses a different grid")
+            raise ValueError(f"curve for node {curve.node!r} uses a different grid")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["freq_hz"]

@@ -4,13 +4,13 @@ Each run zeroes every independent source, injects a fixed 1 A current
 into one node across the whole grid and records |V| at that node.  With
 a 1 A stimulus the magnitude equals the driving-point impedance, and the
 stimulus level would cancel out of the downstream log-derivative
-analysis anyway.  All-nodes mode repeats this for every non-ground node;
-per-node failures are collected instead of aborting the audit.
+analysis anyway.  ``sweep_all_nodes`` is the one entry point for an
+audit, of one node or of many; a node whose solve fails is recorded
+instead of aborting the audit.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import math
 from dataclasses import dataclass, field
 
@@ -117,22 +117,23 @@ def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResp
 
 @dataclass
 class AllNodesSweep:
-    """Result of an all-nodes run: responses in netlist node order plus a
-    map of nodes whose solve failed (excluded from analysis)."""
+    """Result of a sweep: responses in sweep order plus a map of nodes
+    whose solve failed (excluded from analysis)."""
 
     responses: list[NodeResponse] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
 
 
 def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
-                    node_filter: str | None = None) -> AllNodesSweep:
-    """Inject at every non-ground node (optionally glob-filtered), in
-    netlist node order (``Netlist.nodes``)."""
+                    nodes: list[str] | None = None) -> AllNodesSweep:
+    """Inject at each of ``nodes`` in the given order, or at every
+    non-ground node in netlist order (``Netlist.nodes``) when None.
+    Every name is resolved before any solve, so an unknown node raises
+    ``MnaError``; results carry the netlist's spelling of each node."""
+    if nodes is None:
+        nodes = pattern.labels[:pattern.n_nodes]
     result = AllNodesSweep()
-    for node in pattern.labels[:pattern.n_nodes]:
-        if (node_filter is not None
-                and not fnmatch.fnmatchcase(node.lower(), node_filter.lower())):
-            continue
+    for node in [pattern.labels[pattern.row_of_node(name)] for name in nodes]:
         try:
             result.responses.append(inject_node(pattern, node, grid))
         except SingularSystem as exc:

@@ -13,7 +13,7 @@ README = Path(__file__).parent.parent / "README.md"
 
 PUBLIC = {
     "__version__", "parse", "elaborate", "parse_value", "NetlistError",
-    "build_pattern", "SingularSystem", "make_grid", "BadRange", "inject_node",
+    "build_pattern", "SingularSystem", "make_grid", "BadRange",
     "sweep_all_nodes", "analyze_response", "build_report", "render_text",
     "render_json", "render_curves_csv",
 }

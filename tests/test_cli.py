@@ -148,8 +148,8 @@ def test_two_point_grid_is_a_one_line_error(capsys, mode, fstop):
 @pytest.mark.parametrize("source,node,expected", [
     (circuits.resistive_divider(), "nope", "nope"),
     ("t\nR1 a 0 1x\n.end\n", "a", "line 2: bad value token '1x'"),
-    ("t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n", "a",
-     "singular MNA system at unknown 'I(V2)'"),
+    ("t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n", "A",
+     "no node analysed: all 1 swept node(s) failed to solve"),
     ("t\n.param r=1k\nR1 a 0 {r}\n.param r=2k\n.end\n", "a",
      "line 4: .param 'r' already defined on line 2"),
     ("t\nV1 a 0 AC 1\nR1 a 0 1k\nL1 a c 1m\nR3 c 0 10\nF1 b 0 L1 2\nR2 b 0 1k\n.end\n",
@@ -162,10 +162,37 @@ def test_unknown_node_exits_1(tmp_path, capsys, source, node, expected):
     code, out, err = run_cli(capsys, path, "--node", node, "--fstart", "1", "--fstop", "1k",
                              "--ppd", "10", "--json", str(json_path))
     assert code == 1
-    assert out == ""
     assert err.count("\n") == 1 and err.startswith("loopscope: error: ")
     assert expected in err
-    assert not json_path.exists()
+    if expected.startswith("no node analysed"):
+        # A node that exists but fails to solve is reported as excluded,
+        # under the netlist's spelling, as in an all-nodes audit.
+        assert "- node 'a' excluded: singular MNA system at unknown 'I(V2)'" in out
+        assert json.loads(json_path.read_text())["per_node_errors"].keys() == {"a"}
+    else:
+        assert out == ""
+        assert not json_path.exists()
+
+
+SINGULAR = "t\nV1 a 0 AC 1\nV2 a 0 AC 1\nR1 a b 1k\nC1 b 0 1n\n.end\n"
+
+
+@pytest.mark.parametrize("netlist,node,status", [
+    (CIRCUITS_DIR / "rlc_loop.cir", "n2", 2),
+    (CIRCUITS_DIR / "opamp_buffer.cir", "Xamp.n1", 0),
+    (None, "a", 1),
+], ids=["rlc", "opamp", "singular"])
+def test_node_is_all_nodes_filtered_to_that_node(tmp_path, capsys, netlist, node, status):
+    path = str(netlist) if netlist else write(tmp_path, "sing.cir", SINGULAR)
+    runs = []
+    for mode in (["--node", node], ["--all-nodes", "--filter", node]):
+        json_path = tmp_path / "rep.json"
+        code, out, err = run_cli(capsys, path, *mode, "--fstart", "1k", "--fstop", "1g",
+                                 "--json", str(json_path))
+        runs.append((code, out, err, json_path.read_bytes()))
+        json_path.unlink()
+    assert runs[0] == runs[1]
+    assert runs[0][0] == status
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +363,17 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     assert code == 1  # no node was analysed, so the audit is not clean
     assert "excluded" in out and "singular" in out.lower()
     assert "no node analysed" in err
-    # but asking for curve CSV with nothing swept is an error, and then no
-    # output is written at all
-    code, out, err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"),
-                             "--out", str(tmp_path / "r.txt"),
-                             "--json", str(tmp_path / "r.json"))
+    # Asking for every output changes neither the report nor the verdict;
+    # with no curve the CSV holds the frequency column alone.
+    code, csv_out, csv_err = run_cli(capsys, path, *args, "--csv", str(tmp_path / "c.csv"),
+                                     "--out", str(tmp_path / "r.txt"),
+                                     "--json", str(tmp_path / "r.json"))
     assert code == 1
-    assert "no curves" in err
-    assert out == ""
-    assert not (tmp_path / "c.csv").exists()
-    assert not (tmp_path / "r.txt").exists()
-    assert not (tmp_path / "r.json").exists()
+    assert csv_out == ""
+    assert csv_err == err
+    assert (tmp_path / "r.txt").read_text() == out
+    assert json.loads((tmp_path / "r.json").read_text())["per_node_errors"].keys() == {"a"}
+    assert (tmp_path / "c.csv").read_text().splitlines()[:2] == ["freq_hz", "12.589254117941675"]
 
 
 def test_opamp_macromodel_gates_on_load(tmp_path, capsys):

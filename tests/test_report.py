@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopscope.report import (
-    MismatchedGrids,
     build_report,
     format_eng_freq,
     group_loops,
@@ -221,31 +220,37 @@ def _curve(node="a", n_points=5):
 
 
 def test_csv_line_count():
-    text = render_curves_csv([_curve(n_points=5)])
-    lines = text.strip().splitlines()
+    curve = _curve(n_points=5)
+    lines = render_curves_csv(curve.grid, [curve]).strip().splitlines()
     assert len(lines) == 1 + 3  # header + interior points
     assert lines[0] == "freq_hz,mag_a,p_a"
+    # With no curves the grid's interior frequencies are the only column.
+    lines = render_curves_csv(curve.grid, []).strip().splitlines()
+    assert lines == ["freq_hz", *(repr(float(f)) for f in curve.grid.freqs[1:-1])]
 
 
 def test_csv_hierarchical_node_name_not_quoted():
-    text = render_curves_csv([_curve(node="X1.out")])
+    curve = _curve(node="X1.out")
+    text = render_curves_csv(curve.grid, [curve])
     assert "mag_X1.out" in text.splitlines()[0]
     assert '"' not in text.splitlines()[0]
 
 
 def test_csv_quotes_when_needed():
-    header = render_curves_csv([_curve(node="we,ird")]).splitlines()[0]
+    curve = _curve(node="we,ird")
+    header = render_curves_csv(curve.grid, [curve]).splitlines()[0]
     assert '"mag_we,ird"' in header
 
 
 def test_csv_mismatched_grids():
-    with pytest.raises(MismatchedGrids):
-        render_curves_csv([_curve(node="a", n_points=5), _curve(node="b", n_points=7)])
+    a, b = _curve(node="a", n_points=5), _curve(node="b", n_points=7)
+    with pytest.raises(ValueError, match="curve for node 'b' uses a different grid"):
+        render_curves_csv(a.grid, [a, b])
 
 
 def test_csv_round_trips_full_precision():
     curve = _curve()
-    lines = render_curves_csv([curve]).strip().splitlines()
+    lines = render_curves_csv(curve.grid, [curve]).strip().splitlines()
     first = lines[1].split(",")
     assert float(first[0]) == curve.grid.freqs[1]
     assert float(first[1]) == curve.magnitude[0] == 1.25  # the response's |V| at point 1

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from loopscope.mna import build_pattern, solve
+from loopscope import sweep
+from loopscope.mna import MnaError, build_pattern, solve
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curve
 from loopscope.sweep import (
@@ -144,11 +145,24 @@ def test_all_nodes_count_and_order():
 
 
 def test_all_nodes_filter_hierarchical():
+    # Named nodes are swept in the order given, each under its netlist
+    # spelling.
     net = _net(circuits.two_block())
     grid = make_grid(1e3, 1e7, 20)
-    swept = sweep_all_nodes(build_pattern(net), grid, node_filter="X1.*")
-    nodes = [r.node for r in swept.responses]
-    assert nodes and all(n.startswith("X1.") for n in nodes)
+    chosen = [n for n in net.nodes if n.startswith("X1.")][::-1]
+    assert len(chosen) > 1
+    swept = sweep_all_nodes(build_pattern(net), grid,
+                            nodes=[n.swapcase() for n in chosen])
+    assert [r.node for r in swept.responses] == chosen
+
+
+def test_unknown_node_is_refused_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sweep, "inject_node", lambda *args: calls.append(args))
+    pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
+    with pytest.raises(MnaError, match="unknown node 'nope'"):
+        sweep_all_nodes(pattern, make_grid(50.0, 500e3, 10), nodes=["n1", "nope"])
+    assert calls == []
 
 
 def test_determinism_bitwise():
@@ -249,10 +263,12 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
 
 def test_singular_circuit_collects_per_node_errors():
     # Two ideal shorts in parallel make the branch equations dependent;
-    # every node solve fails but the audit itself survives.
+    # every node solve fails but the audit itself survives, and a failure
+    # is recorded under the netlist's spelling of the node.
     net = _net("t\nV1 a 0 AC 0\nV2 a 0 AC 0\nR1 a 0 1k\n.end\n")
     grid = make_grid(10.0, 1e3, 10)
-    swept = sweep_all_nodes(build_pattern(net), grid)
-    assert swept.responses == []
-    assert "a" in swept.errors
-    assert "singular" in swept.errors["a"].lower()
+    for nodes in (None, ["A"]):
+        swept = sweep_all_nodes(build_pattern(net), grid, nodes=nodes)
+        assert swept.responses == []
+        assert list(swept.errors) == ["a"]
+        assert "singular" in swept.errors["a"].lower()
