@@ -8,12 +8,12 @@ peak sits at the loop's natural frequency and its depth equals
 -1/zeta**2, which maps to phase margin and overshoot through the
 closed-form second-order relations.  No feedback loop is ever broken.
 
-The pipeline's entry points are re-exported here; every other public
-name imports from its own module (``loopscope.stability.Peak``, ...).
-``import loopscope`` loads only the netlist front end (``parse``,
-``elaborate``), which needs no numpy.  The numeric layers ``mna``,
-``sweep``, ``stability`` and ``report``, and the names exported from
-them, load on first access (PEP 562).
+The pipeline's entry points (``parse``, ``elaborate``, ``audit``, the
+renderers) are re-exported here; every other public name imports from
+its own module (``loopscope.stability.Peak``, ...).  ``import loopscope``
+loads only the netlist front end, which needs no numpy.  The numeric
+layers ``mna``, ``sweep``, ``stability``, ``report`` and ``cli`` (home of
+``audit``), and the names exported from them, load on first access.
 """
 
 import importlib
@@ -24,13 +24,11 @@ from .netlist import NetlistError, elaborate, parse, parse_value
 
 # Name -> numeric layer that defines it; the layer loads on first access.
 _LAZY = {
-    "build_pattern": "mna", "SingularSystem": "mna",
-    "make_grid": "sweep", "BadRange": "sweep", "sweep_all_nodes": "sweep",
-    "analyze_response": "stability",
-    "build_report": "report", "render_text": "report", "render_json": "report",
-    "render_curves_csv": "report",
+    "audit": "cli", "SingularSystem": "mna",
+    "make_grid": "sweep", "BadRange": "sweep",
+    "render_text": "report", "render_json": "report", "render_curves_csv": "report",
 }
-_LAYERS = frozenset(_LAZY.values())
+_LAYERS = frozenset({"mna", "sweep", "stability", "report", "cli"})
 
 __all__ = ["__version__", "parse", "elaborate", "parse_value", "NetlistError", *_LAZY]
 

@@ -1,11 +1,11 @@
-"""Command-line front end.
+"""The audit pipeline, ``audit``, and its command-line front end.
 
-``--node NAME`` audits a single node and ``--all-nodes`` every non-ground
-node (``--filter GLOB`` keeps the matching ones).  Both are one run of the
-library pipeline over a list of nodes, so they share the report, the
-grouping of findings into loops and the failure policy.  The exit status
-is scriptable: 0 for a clean run, 2 when any loop grades as
-unstable-risk, 1 on errors, including an audit that analysed no node.
+``--node NAME`` audits one node and ``--all-nodes`` every non-ground node
+(``--filter GLOB`` keeps the matching ones).  Both are one ``audit`` call
+over a list of nodes, so they share the report, the grouping of findings
+into loops and the failure policy.  The exit status is scriptable: 0 for
+a clean run, 2 when any loop grades as unstable-risk, 1 on errors,
+including an audit that analysed no node.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .mna import GMIN_DEFAULT, MnaError, build_pattern
 from .netlist import Netlist, NetlistError, elaborate, parse, parse_value
 from .report import (REL_GAP_DEFAULT, StabilityReport, build_report,
                      render_curves_csv, render_json, render_text)
-from .stability import PEAK_FLOOR_DEFAULT, Severity, analyze_response
-from .sweep import BadRange, make_grid, sweep_all_nodes
+from .stability import PEAK_FLOOR_DEFAULT, Severity, StabilityCurve, analyze_response
+from .sweep import BadRange, FrequencyGrid, make_grid, sweep_all_nodes
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,13 +115,28 @@ def _param_references(net: Netlist) -> set[str]:
     return names
 
 
+def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
+          floor: float = PEAK_FLOOR_DEFAULT, gap: float = REL_GAP_DEFAULT,
+          gmin: float = GMIN_DEFAULT) -> tuple[StabilityReport, list[StabilityCurve]]:
+    """Sweep ``nodes`` (all when None), analyse each and group the peaks
+    into loops.  Returns the report and the analysed nodes' curves; a node
+    that fails to solve is in ``report.per_node_errors`` instead."""
+    swept = sweep_all_nodes(build_pattern(net, gmin=gmin), grid, nodes)
+    curves, peaks = [], []
+    for resp in swept.responses:
+        curve, node_peaks = analyze_response(resp, floor=floor)
+        curves.append(curve)
+        peaks.extend(node_peaks)
+    return build_report(net.title, grid, peaks, warnings=net.warnings,
+                        per_node_errors=swept.errors, rel_gap=gap), curves
+
+
 def run(args: argparse.Namespace) -> int:
-    """Execute one analysis run from parsed arguments; returns the
-    process exit status."""
+    """Run one audit from parsed arguments; returns the exit status."""
     try:
         with open(args.netlist, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"loopscope: error: cannot read netlist: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -135,32 +150,21 @@ def run(args: argparse.Namespace) -> int:
                 raise NetlistError(f"--param {name!r} is not a parameter of this netlist")
             parsed.params[name] = value
         net = elaborate(parsed)
-        pattern = build_pattern(net, gmin=args.gmin)
-
         nodes = None if args.node is None else [args.node]
         if args.node_filter is not None:
             glob = args.node_filter.lower()
             nodes = [n for n in net.nodes if fnmatch.fnmatchcase(n.lower(), glob)]
-        swept = sweep_all_nodes(pattern, grid, nodes)
-        curves = []
-        peaks = []
-        for resp in swept.responses:
-            curve, node_peaks = analyze_response(resp, floor=args.floor)
-            curves.append(curve)
-            peaks.extend(node_peaks)
-        report = build_report(net.title, grid, peaks,
-                              warnings=net.warnings,
-                              per_node_errors=swept.errors,
-                              rel_gap=args.gap)
+        report, curves = audit(net, grid, nodes=nodes, floor=args.floor,
+                               gap=args.gap, gmin=args.gmin)
         _emit(args, report, curves)
     except (NetlistError, MnaError, BadRange, OSError) as exc:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if not swept.responses:
+    if not curves:
         # Nothing was analysed, so "no loops" would be a false all-clear.
-        if swept.errors:
-            reason = f"all {len(swept.errors)} swept node(s) failed to solve"
+        if report.per_node_errors:
+            reason = f"all {len(report.per_node_errors)} swept node(s) failed to solve"
         elif args.node_filter is not None:
             reason = f"no node matches --filter {args.node_filter!r}"
         else:

@@ -9,8 +9,9 @@ section per loop, worst member first, in the style
     Output 28.884067 3.16E+06
 
 with peak magnitudes printed to six fractional digits and frequencies in
-two-decimal scientific notation.  Rendering is deterministic: the same
-report object always produces byte-identical output.
+two-decimal scientific notation.  Rendering is deterministic: rows sort
+on the values they print, then on node, so noise below the printed
+precision never reorders them.
 """
 
 from __future__ import annotations
@@ -35,17 +36,17 @@ class LoopGroup:
     worst member's, the min-zeta gradable one; severity never improves
     as zeta falls, so that member also carries the worst severity."""
 
-    members: list[Peak]            # sorted on construction by descending |p_value|
+    members: list[Peak]            # sorted on construction by descending printed |p_value|
     worst: Peak | None = field(init=False)
 
     def __post_init__(self):
-        self.members = sorted(self.members, key=lambda pk: (-abs(pk.p_value), pk.node))
+        self.members = sorted(self.members, key=lambda pk: (-round(abs(pk.p_value), 6), pk.node))
         self.worst = min((m for m in self.members if m.gradable),
                          key=lambda m: m.zeta, default=None)
 
     @property
     def label_freq(self) -> float:
-        """Hz, from the member with the deepest peak."""
+        """Hz, from the first row: the deepest peak as printed."""
         return self.members[0].natural_freq
 
     @property
@@ -54,7 +55,7 @@ class LoopGroup:
 
     @property
     def worst_node(self) -> str:
-        """The worst member's node, else the deepest member's."""
+        """The worst member's node, else the first row's."""
         return (self.worst or self.members[0]).node
 
     @property
@@ -105,7 +106,7 @@ def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],
     """Split peaks into loop groups and zero listings and wrap them up."""
     poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     zeros = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_ZERO]
-    zeros.sort(key=lambda pk: (pk.natural_freq, pk.node))
+    zeros.sort(key=lambda pk: (float(f"{pk.natural_freq:.2E}"), pk.node))
     return StabilityReport(netlist_title=title, grid=grid,
                            groups=group_loops(poles, rel_gap=rel_gap),
                            zeros=zeros,

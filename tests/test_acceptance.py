@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from loopscope import audit
 from loopscope.mna import build_pattern, solve
 from loopscope.netlist import elaborate, parse
 from loopscope.report import build_report, group_loops, render_text
@@ -253,14 +254,8 @@ def test_criterion_5_properties_and_golden():
 def test_criterion_6_multi_loop():
     t0 = time.monotonic()
     net = elaborate(parse(circuits.two_block()))
-    grid = make_grid(50.0, 50e6, 100)
-    swept = sweep_all_nodes(build_pattern(net), grid)
-    assert not swept.errors
-    peaks = []
-    for resp in swept.responses:
-        _, pk = analyze_response(resp)
-        peaks.extend(pk)
-    report = build_report(net.title, grid, peaks)
+    report, _ = audit(net, make_grid(50.0, 50e6, 100))
+    assert not report.per_node_errors
     elapsed = time.monotonic() - t0
     assert len(report.groups) == 2, [g.label_freq for g in report.groups]
     block_a = {"a1", "ax", "a2", "aout"}
@@ -284,28 +279,20 @@ def test_criterion_7_end_of_range():
     # and nothing may be severity-graded from it.
     for f_stop in (4000.0, 4600.0):
         net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-        grid = make_grid(50.0, f_stop, 200)
-        resp = inject_node(build_pattern(net), "out", grid)
-        curve, peaks = analyze_response(resp)
+        report, (curve,) = audit(net, make_grid(50.0, f_stop, 200), nodes=["out"])
+        poles = [pk for g in report.groups for pk in g.members]
         n = len(curve.p)
-        for pk in peaks:
+        for pk in poles + report.zeros:
             if pk.sample_index in (0, n - 1):
                 assert PeakFlag.END_OF_RANGE in pk.flags
                 assert pk.severity is None
-        poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
         for pk in poles:
             assert PeakFlag.END_OF_RANGE in pk.flags
             assert not pk.gradable
-        report = build_report(net.title, grid, peaks)
         assert report.worst_severity is None
         for g in report.groups:
             assert g.worst_zeta is None and g.severity is None
     # The 4.6 kHz cut genuinely produces a deep boundary pole candidate.
-    net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-    grid = make_grid(50.0, 4600.0, 200)
-    resp = inject_node(build_pattern(net), "out", grid)
-    _, peaks = analyze_response(resp)
-    boundary_poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE
-                      and PeakFlag.END_OF_RANGE in pk.flags]
+    boundary_poles = [pk for pk in poles if PeakFlag.END_OF_RANGE in pk.flags]
     assert boundary_poles
     return f"boundary pole at {boundary_poles[0].natural_freq:.0f} Hz flagged"

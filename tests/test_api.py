@@ -13,9 +13,8 @@ README = Path(__file__).parent.parent / "README.md"
 
 PUBLIC = {
     "__version__", "parse", "elaborate", "parse_value", "NetlistError",
-    "build_pattern", "SingularSystem", "make_grid", "BadRange",
-    "sweep_all_nodes", "analyze_response", "build_report", "render_text",
-    "render_json", "render_curves_csv",
+    "audit", "SingularSystem", "make_grid", "BadRange",
+    "render_text", "render_json", "render_curves_csv",
 }
 
 
@@ -33,12 +32,13 @@ def test_public_names_resolve_and_cover_the_readme_example():
 LAZY_PROBE = """
 import sys
 import loopscope
+assert "numpy" not in sys.modules, "import loopscope imported numpy"
 with open(sys.argv[1], encoding="utf-8") as fh:
     loopscope.elaborate(loopscope.parse(fh.read()))
 assert "numpy" not in sys.modules, "numpy was imported"
 assert loopscope.stability.Peak.__module__ == "loopscope.stability"
 assert loopscope.report.StabilityReport.__module__ == "loopscope.report"
-assert loopscope.build_pattern is sys.modules["loopscope.mna"].build_pattern
+assert loopscope.audit is sys.modules["loopscope.cli"].audit
 star = {}
 exec("from loopscope import *", star)
 assert sorted(set(star) - {"__builtins__"}) == sorted(loopscope.__all__)

@@ -72,6 +72,16 @@ def test_missing_netlist_exits_1(capsys):
     assert "error" in err.lower()
 
 
+def test_netlist_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.cir"
+    path.write_bytes(b"t\nR1 a 0 1k\xff\n.end\n")
+    code, out, err = run_cli(capsys, str(path), "--all-nodes")
+    assert code == 1
+    assert out == ""
+    assert err == ("loopscope: error: cannot read netlist: 'utf-8' codec can't decode "
+                   "byte 0xff in position 11: invalid start byte\n")
+
+
 def test_usage_error_exits_1(tmp_path):
     path = write(tmp_path, "x.cir", circuits.resistive_divider())
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from loopscope import audit
 from loopscope.mna import (
     MnaError,
     SingularSystem,
@@ -13,13 +14,8 @@ from loopscope.mna import (
     solve,
 )
 from loopscope.netlist import elaborate, parse, parse_value
-from loopscope.report import build_report
-from loopscope.stability import (
-    analyze_response,
-    overshoot_from_zeta,
-    phase_margin_from_zeta,
-)
-from loopscope.sweep import make_grid, sweep_all_nodes
+from loopscope.stability import overshoot_from_zeta, phase_margin_from_zeta
+from loopscope.sweep import make_grid
 
 import circuits
 from circuits import CIRCUITS_DIR
@@ -322,12 +318,8 @@ def test_exact_poles_match_audited_loop(name, f_exact, zeta_exact):
     assert f_pole == pytest.approx(f_exact, rel=1e-3)
     assert zeta_pole == pytest.approx(zeta_exact, rel=1e-3)
 
-    grid = make_grid()
-    peaks = []
-    for resp in sweep_all_nodes(build_pattern(net), grid).responses:
-        peaks.extend(analyze_response(resp)[1])
-    loops = [g for g in build_report(net.title, grid, peaks).groups
-             if abs(g.label_freq / f_pole - 1) <= 0.01]
+    report, _ = audit(net, make_grid())
+    loops = [g for g in report.groups if abs(g.label_freq / f_pole - 1) <= 0.01]
     assert len(loops) == 1
     assert loops[0].worst_zeta == pytest.approx(zeta_pole, rel=0.02)
 
@@ -398,16 +390,14 @@ def test_closed_forms_match_return_ratio_on_opamp_cases(cc):
     for cl in ("50p", "200p", "500p", "2n"):
         net = parse(circuits.hierarchical_opamp_buffer())
         net.params.update(cc=parse_value(cc), cl=parse_value(cl))
-        pattern = build_pattern(elaborate(net))
+        flat = elaborate(net)
+        pattern = build_pattern(flat)
         # Negative feedback: at DC, T is the open-loop gain gm*R1*g2*R2
         # times the Ro/Rload divider (gmin shifts it by ~1e-6).
         dc_gain = GIN_GM * 2e6 * 2e-3 * 50e3 * 10e3 / 10.2e3
         assert _return_ratio(pattern, 0.0) == pytest.approx(dc_gain, rel=1e-5)
-        peaks = []
-        for resp in sweep_all_nodes(pattern, grid).responses:
-            peaks.extend(analyze_response(resp)[1])
-        zeta = min(g.worst_zeta for g in build_report("", grid, peaks).groups
-                   if g.worst_zeta is not None)
+        report, _ = audit(flat, grid)
+        zeta = min(g.worst_zeta for g in report.groups if g.worst_zeta is not None)
         pm_err = phase_margin_from_zeta(zeta) - _true_phase_margin(pattern)
         assert abs(pm_err) <= (0.5 if zeta < 0.5 else 3.5), (cl, zeta, pm_err)
         os_err = overshoot_from_zeta(zeta) - _true_overshoot(pattern)

@@ -191,6 +191,22 @@ def test_render_is_deterministic():
     assert render_text(r1) == render_text(r2)
 
 
+def test_rows_that_print_the_same_sort_by_node():
+    # Noise below the printed precision (another BLAS build, another
+    # solve engine) must not reorder rows: ties in the printed value
+    # sort by node, whichever node got the larger exact value.
+    lo, hi = 1 - 1e-12, 1 + 1e-12
+    texts = set()
+    for a, b in ((lo, hi), (hi, lo)):
+        peaks = [zero("za", 0.5, 3.17e8 * a), zero("zb", 0.5, 3.17e8 * b),
+                 pole("deep", -50.0, 1e6), pole("pa", -12.5 * a, 1e6),
+                 pole("pb", -12.5 * b, 1e6)]
+        texts.add(render_text(build_report("t", GRID, peaks)))
+    (text,) = texts
+    rows = [line.split()[0] for line in text.splitlines() if "E+0" in line]
+    assert rows == ["deep", "pa", "pb", "za", "zb"]
+
+
 def test_render_zeros_section():
     text = render_text(build_report("t", GRID, [zero("trap", 24.7, 5.03e3)]))
     assert "Complex zeros" in text
