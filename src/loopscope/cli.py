@@ -36,6 +36,11 @@ def _spice_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _in_range(value: float, relation: str) -> bool:
+    """True when ``value`` is finite and ``> 0``, or ``>= 0`` for ">="."""
+    return math.isfinite(value) and (value > 0 or relation == ">=" and value == 0)
+
+
 def _number(relation: str):
     """An argparse type for a SPICE number that is ``> 0`` or ``>= 0``."""
     def check(text: str) -> float:
@@ -43,7 +48,7 @@ def _number(relation: str):
             value = parse_value(text)
         except NetlistError:
             value = math.nan
-        if not (value > 0 or relation == ">=" and value == 0):
+        if not _in_range(value, relation):
             raise argparse.ArgumentTypeError(
                 f"expected a finite number {relation} 0, got {text!r}")
         return value
@@ -120,7 +125,13 @@ def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
           gmin: float = GMIN_DEFAULT) -> tuple[StabilityReport, list[StabilityCurve]]:
     """Sweep ``nodes`` (all when None), analyse each and group the peaks
     into loops.  Returns the report and the analysed nodes' curves; a node
-    that fails to solve is in ``report.per_node_errors`` instead."""
+    that fails to solve is in ``report.per_node_errors`` instead.  Raises
+    ``ValueError``, before any sweep, unless ``floor`` and ``gap`` are
+    finite and > 0 and ``gmin`` is finite and >= 0."""
+    for name, value, relation in (("floor", floor, ">"), ("gap", gap, ">"),
+                                  ("gmin", gmin, ">=")):
+        if not _in_range(value, relation):
+            raise ValueError(f"{name} must be a finite number {relation} 0, got {value!r}")
     swept = sweep_all_nodes(build_pattern(net, gmin=gmin), grid, nodes)
     curves, peaks = [], []
     for resp in swept.responses:

@@ -96,18 +96,21 @@ def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResp
     n = len(grid)
     magnitude = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
-    # One work matrix for the whole sweep: Y(w) = G + jwC is refilled in
-    # place at each frequency instead of allocating two dim x dim
-    # temporaries.  (jw)*C first, then + G: the same operations in the
-    # same order as evaluating G + jwC afresh, so Y is bitwise identical.
-    Y = np.empty((pattern.dim, pattern.dim), dtype=np.complex128)
-    for i in range(n):
-        omega = 2.0 * math.pi * grid.freqs[i]
-        np.multiply(1j * omega, pattern.C, out=Y)
-        Y += pattern.G
-        x = solve(Y, b, labels=pattern.labels, omega=omega)
-        magnitude[i] = abs(x[row])
-        if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x))):
+    # One work matrix for the whole sweep, Y(w) = G + jwC, instead of two
+    # dim x dim temporaries per frequency.  Its real part is G at every
+    # frequency, so it is written once and each point writes only w*C
+    # into the imaginary part.  G and C are sums into zeros and hold no
+    # -0.0, so this Y is bitwise the G + jwC that evaluating it afresh
+    # gives.  The whole-array 2*pi*f gives the same floats as one point
+    # at a time.
+    C, labels = pattern.C, pattern.labels
+    Y = pattern.G.astype(np.complex128)
+    wC = Y.imag
+    for i, omega in enumerate((2.0 * math.pi * grid.freqs).tolist()):
+        np.multiply(omega, C, out=wC)
+        x = solve(Y, b, labels=labels, omega=omega)
+        mag = magnitude[i] = abs(x[row])
+        if mag <= NOISE_FLOOR_REL * abs(x).max():
             clamped[i] = True
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR

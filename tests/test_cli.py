@@ -1,6 +1,7 @@
 """Command-line behaviour: run modes, outputs, exit codes."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -9,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from loopscope import cli
 from loopscope.cli import main
+from loopscope.netlist import elaborate, parse
+from loopscope.sweep import make_grid
 
 import circuits
 from circuits import CIRCUITS_DIR, GOLDEN_DIR, src_env
@@ -132,6 +136,20 @@ def test_bad_numeric_option_is_a_usage_error(capsys, option, value, bound):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"argument {option}: expected a finite number {bound}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("option,value,bound", [
+    *[(name, value, "> 0") for name in ("floor", "gap")
+      for value in (math.nan, math.inf, 0.0, -1.0)],
+    *[("gmin", value, ">= 0") for value in (math.nan, math.inf, -1.0)],
+])
+def test_audit_refuses_bad_numbers_before_sweeping(monkeypatch, option, value, bound):
+    # A library caller gets the CLI's rule: a NaN floor would report no
+    # loop at all, a zero gap or a negative gmin a different grouping.
+    monkeypatch.setattr(cli, "sweep_all_nodes", lambda *args: pytest.fail("swept"))
+    net = elaborate(parse((CIRCUITS_DIR / "rlc_loop.cir").read_text(encoding="utf-8")))
+    with pytest.raises(ValueError, match=f"^{option} must be a finite number {bound}, got "):
+        cli.audit(net, make_grid(50.0, 500e3, 100), **{option: value})
 
 
 def test_oversized_grid_is_rejected_before_sweeping(capsys):

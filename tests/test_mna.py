@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from loopscope import audit
+from loopscope import audit, mna
 from loopscope.mna import (
     MnaError,
     SingularSystem,
@@ -219,6 +219,81 @@ def test_random_complex_system_residual():
     x = solve(Y, b)
     resid = np.max(np.abs(b - Y @ x))
     assert resid <= 1e-9 * np.max(np.abs(b))
+
+
+def _count_solves(monkeypatch, alter=lambda call, x: x):
+    """Count the calls of mna's np.linalg.solve; call number ``call``
+    returns ``alter(call, x)`` for the true solution ``x``."""
+    calls = []
+    real = np.linalg.solve
+
+    def fake(Y, b):
+        calls.append(b)
+        return alter(len(calls), real(Y, b))
+
+    monkeypatch.setattr(mna.np.linalg, "solve", fake)
+    return calls
+
+
+def _ladder_system():
+    pattern = build_pattern(_net(circuits.ladder(3)))
+    b = np.zeros(pattern.dim, dtype=complex)
+    b[pattern.row_of_node("s2")] = 1.0
+    return pattern, pattern.G + 2j * math.pi * 5e6 * pattern.C, b
+
+
+def test_accurate_first_solve_is_the_only_solve(monkeypatch):
+    pattern, Y, b = _ladder_system()
+    expected = np.linalg.solve(Y, b)
+    calls = _count_solves(monkeypatch)
+    assert np.array_equal(solve(Y, b, labels=pattern.labels), expected)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
+def test_non_finite_solution_raises_without_refinement(monkeypatch, bad):
+    # Refinement cannot mend a NaN or inf from LAPACK, so there is none.
+    pattern, Y, b = _ladder_system()
+    x_bad = np.linalg.solve(Y, b)
+    x_bad[4] = bad
+    calls = _count_solves(monkeypatch, lambda call, x: x_bad.copy())
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(b - Y @ x_bad).all()
+        with pytest.raises(SingularSystem) as err:
+            solve(Y, b, labels=pattern.labels, omega=5.0)
+    assert len(calls) == 1
+    assert err.value.omega == 5.0
+
+
+def test_perturbed_first_solve_is_refined_once(monkeypatch):
+    pattern, Y, b = _ladder_system()
+    calls = _count_solves(monkeypatch,
+                          lambda call, x: x * (1 + 1e-6) if call == 1 else x)
+    x = solve(Y, b, labels=pattern.labels)
+    assert len(calls) == 2
+    assert np.max(np.abs(b - Y @ x)) <= 1e-9 * np.max(np.abs(b))
+
+
+def test_refinement_that_misses_names_the_worst_residual_row(monkeypatch):
+    # Every solve is off by 1e-3 in unknown 4, so the refined residual is
+    # still -1e-3 * Y[:, 4] and its largest entry names the unknown.
+    pattern, Y, b = _ladder_system()
+    calls = _count_solves(monkeypatch, lambda call, x: x + 1e-3 * np.eye(len(x))[4])
+    with pytest.raises(SingularSystem) as err:
+        solve(Y, b, labels=pattern.labels, omega=5.0)
+    assert len(calls) == 2
+    assert err.value.label == pattern.labels[int(np.argmax(np.abs(Y[:, 4])))] == "s2"
+
+
+def test_zero_rhs_and_empty_system(monkeypatch):
+    pattern, Y, _ = _ladder_system()
+    calls = _count_solves(monkeypatch)
+    x = solve(Y, np.zeros(pattern.dim, dtype=complex))
+    assert len(calls) == 1
+    assert np.array_equal(x, np.zeros(pattern.dim))
+    x = solve(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex))
+    assert len(calls) == 2
+    assert x.shape == (0,)
 
 
 def test_reciprocity_for_rlc_network():

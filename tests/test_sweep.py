@@ -165,6 +165,21 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
     assert calls == []
 
 
+def test_one_solve_per_node_and_frequency(monkeypatch):
+    calls = []
+
+    def counted(Y, b, **kwargs):
+        calls.append(kwargs["omega"])
+        return solve(Y, b, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve", counted)
+    pattern = build_pattern(_net(circuits.ladder(3)))
+    grid = make_grid(1.0, 1000.0, 10)
+    swept = sweep_all_nodes(pattern, grid)
+    assert len(grid) == 31 and len(swept.responses) == pattern.n_nodes == 7
+    assert calls == (2 * math.pi * grid.freqs).tolist() * 7
+
+
 def test_determinism_bitwise():
     net = _net(circuits.two_block())
     grid = make_grid(50.0, 5e6, 40)
