@@ -185,7 +185,12 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
         x = x + np.linalg.solve(Y, resid)
         resid = b - Y @ x
         rnorm = abs(resid).max()
-    if not np.isfinite(x).all() or (bnorm and rnorm > _RESIDUAL_RTOL * bnorm):
-        worst = int(abs(resid).argmax())
-        raise SingularSystem(label(worst), omega)
+    # A NaN or inf in x poisons every residual row it touches, so the
+    # first non-finite entry names the unknown; for a finite x that
+    # misses the bound, the worst residual row does.
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise SingularSystem(label(int(finite.argmin())), omega)
+    if bnorm and rnorm > _RESIDUAL_RTOL * bnorm:
+        raise SingularSystem(label(int(abs(resid).argmax())), omega)
     return x

@@ -1,12 +1,13 @@
-"""Per-node AC current-injection frequency sweeps on a log-spaced grid.
+"""AC current-injection frequency sweeps on a log-spaced grid.
 
-Each run zeroes every independent source, injects a fixed 1 A current
-into one node across the whole grid and records |V| at that node.  With
-a 1 A stimulus the magnitude equals the driving-point impedance, and the
-stimulus level would cancel out of the downstream log-derivative
+Each audit zeroes every independent source and walks the grid once: at
+each frequency it builds Y(w) = G + jwC and solves it with a fixed 1 A
+injected into each requested node in turn, recording |V| at that node.
+With a 1 A stimulus the magnitude equals the driving-point impedance,
+and the stimulus level would cancel out of the downstream log-derivative
 analysis anyway.  ``sweep_all_nodes`` is the one entry point for an
 audit, of one node or of many; a node whose solve fails is recorded
-instead of aborting the audit.
+instead of aborting the audit, and gets no further solves.
 """
 
 from __future__ import annotations
@@ -87,41 +88,10 @@ class NodeResponse:
     clamped: np.ndarray          # bool, True where the floor kicked in
 
 
-def inject_node(pattern: MnaPattern, node: str, grid: FrequencyGrid) -> NodeResponse:
-    """Sweep one node: solve Y(w) x = b at every grid frequency with 1 A
-    injected into ``node`` and all sources zeroed."""
-    row = pattern.row_of_node(node)
-    b = np.zeros(pattern.dim, dtype=np.complex128)
-    b[row] = 1.0
-    n = len(grid)
-    magnitude = np.empty(n)
-    clamped = np.zeros(n, dtype=bool)
-    # One work matrix for the whole sweep, Y(w) = G + jwC, instead of two
-    # dim x dim temporaries per frequency.  Its real part is G at every
-    # frequency, so it is written once and each point writes only w*C
-    # into the imaginary part.  G and C are sums into zeros and hold no
-    # -0.0, so this Y is bitwise the G + jwC that evaluating it afresh
-    # gives.  The whole-array 2*pi*f gives the same floats as one point
-    # at a time.
-    C, labels = pattern.C, pattern.labels
-    Y = pattern.G.astype(np.complex128)
-    wC = Y.imag
-    for i, omega in enumerate((2.0 * math.pi * grid.freqs).tolist()):
-        np.multiply(omega, C, out=wC)
-        x = solve(Y, b, labels=labels, omega=omega)
-        mag = magnitude[i] = abs(x[row])
-        if mag <= NOISE_FLOOR_REL * abs(x).max():
-            clamped[i] = True
-    clamped |= magnitude < MAGNITUDE_FLOOR
-    magnitude[clamped] = MAGNITUDE_FLOOR
-    return NodeResponse(node=pattern.labels[row], grid=grid,
-                        magnitude=magnitude, clamped=clamped)
-
-
 @dataclass
 class AllNodesSweep:
-    """Result of a sweep: responses in sweep order plus a map of nodes
-    whose solve failed (excluded from analysis)."""
+    """Result of a sweep: responses in the requested node order plus a
+    map, in that order too, of nodes whose solve failed (excluded)."""
 
     responses: list[NodeResponse] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
@@ -135,10 +105,39 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     ``MnaError``; results carry the netlist's spelling of each node."""
     if nodes is None:
         nodes = pattern.labels[:pattern.n_nodes]
-    result = AllNodesSweep()
-    for node in [pattern.labels[pattern.row_of_node(name)] for name in nodes]:
-        try:
-            result.responses.append(inject_node(pattern, node, grid))
-        except SingularSystem as exc:
-            result.errors[node] = str(exc)
-    return result
+    C, labels = pattern.C, pattern.labels
+    rows = [pattern.row_of_node(name) for name in nodes]
+    unit = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
+    unit[range(len(rows)), rows] = 1.0
+    magnitude = np.zeros((len(rows), len(grid)))
+    clamped = np.zeros(magnitude.shape, dtype=bool)
+    failed: dict[int, str] = {}  # index into rows -> first SingularSystem
+    # One work matrix for the whole audit, Y(w) = G + jwC: its real part
+    # is G at every frequency, so it is written once and each frequency
+    # writes only w*C into the imaginary part, then solves every live
+    # node against that Y.  G and C are sums into zeros and hold no -0.0,
+    # so this Y is bitwise the G + jwC that evaluating it afresh gives.
+    # The whole-array 2*pi*f gives the same floats as one point at a time.
+    Y = pattern.G.astype(np.complex128)
+    wC = Y.imag
+    for i, omega in enumerate((2.0 * math.pi * grid.freqs).tolist()):
+        if len(failed) == len(rows):
+            break
+        np.multiply(omega, C, out=wC)
+        for k, row in enumerate(rows):
+            if k in failed:
+                continue
+            try:
+                x = solve(Y, unit[k], labels=labels, omega=omega)
+            except SingularSystem as exc:
+                failed[k] = str(exc)
+                continue
+            mag = magnitude[k, i] = abs(x[row])
+            if mag <= NOISE_FLOOR_REL * abs(x).max():
+                clamped[k, i] = True
+    clamped |= magnitude < MAGNITUDE_FLOOR
+    magnitude[clamped] = MAGNITUDE_FLOOR
+    return AllNodesSweep(
+        responses=[NodeResponse(labels[row], grid, magnitude[k], clamped[k])
+                   for k, row in enumerate(rows) if k not in failed],
+        errors={labels[rows[k]]: msg for k, msg in sorted(failed.items())})

@@ -30,7 +30,7 @@ from loopscope.stability import (
     stability_curve,
     zeta_from_index,
 )
-from loopscope.sweep import inject_node, make_grid, sweep_all_nodes
+from loopscope.sweep import make_grid, sweep_all_nodes
 
 import circuits
 from circuits import GOLDEN_DIR
@@ -54,7 +54,7 @@ def criterion(num, title):
 def _pipeline(source, node, f_start, f_stop, ppd):
     net = elaborate(parse(source))
     grid = make_grid(f_start, f_stop, ppd)
-    resp = inject_node(build_pattern(net), node, grid)
+    resp = sweep_all_nodes(build_pattern(net), grid, [node]).responses[0]
     return analyze_response(resp)
 
 

@@ -252,7 +252,8 @@ def test_accurate_first_solve_is_the_only_solve(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
 def test_non_finite_solution_raises_without_refinement(monkeypatch, bad):
-    # Refinement cannot mend a NaN or inf from LAPACK, so there is none.
+    # Refinement cannot mend a NaN or inf from LAPACK, so there is none,
+    # and the first non-finite entry of x names the unknown.
     pattern, Y, b = _ladder_system()
     x_bad = np.linalg.solve(Y, b)
     x_bad[4] = bad
@@ -263,6 +264,7 @@ def test_non_finite_solution_raises_without_refinement(monkeypatch, bad):
             solve(Y, b, labels=pattern.labels, omega=5.0)
     assert len(calls) == 1
     assert err.value.omega == 5.0
+    assert err.value.label == pattern.labels[4] == "s2"
 
 
 def test_perturbed_first_solve_is_refined_once(monkeypatch):

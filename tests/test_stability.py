@@ -32,7 +32,7 @@ from loopscope.stability import (
     stability_curve,
     zeta_from_index,
 )
-from loopscope.sweep import BadRange, FrequencyGrid, NodeResponse, inject_node, make_grid
+from loopscope.sweep import BadRange, FrequencyGrid, NodeResponse, make_grid, sweep_all_nodes
 
 import circuits
 
@@ -193,7 +193,7 @@ def test_underdamped_pole_yields_one_pole_and_no_zero():
     # be suppressed, not reported as complex zeros.
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    resp = inject_node(build_pattern(net), "n2", grid)
+    resp = sweep_all_nodes(build_pattern(net), grid, ["n2"]).responses[0]
     curve, peaks = analyze_response(resp)
     assert [pk.kind for pk in peaks] == [PeakKind.COMPLEX_POLE]
     assert peaks[0].p_value == pytest.approx(-25.0, rel=0.03)
@@ -223,7 +223,7 @@ def test_end_of_range_pole_flagged_and_ungraded():
     fn = 5032.9
     grid = make_grid(50.0, 4600.0, 200)
     net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-    resp = inject_node(build_pattern(net), "out", grid)
+    resp = sweep_all_nodes(build_pattern(net), grid, ["out"]).responses[0]
     _, peaks = analyze_response(resp)
     poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert poles, "expected a boundary pole candidate"
@@ -408,7 +408,7 @@ def test_refine_collinear_falls_back_to_sample():
 def test_refined_frequency_accuracy_at_100_ppd():
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    resp = inject_node(build_pattern(net), "n2", grid)
+    resp = sweep_all_nodes(build_pattern(net), grid, ["n2"]).responses[0]
     _, peaks = analyze_response(resp)
     (pole,) = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert pole.natural_freq == pytest.approx(circuits.F_NATURAL, rel=0.005)

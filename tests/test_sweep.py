@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopscope import sweep
-from loopscope.mna import MnaError, build_pattern, solve
+from loopscope.mna import MnaError, SingularSystem, build_pattern, solve
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curve
 from loopscope.sweep import (
@@ -14,7 +14,6 @@ from loopscope.sweep import (
     MAX_GRID_POINTS,
     NOISE_FLOOR_REL,
     BadRange,
-    inject_node,
     make_grid,
     sweep_all_nodes,
 )
@@ -85,13 +84,13 @@ def test_grid_density_is_not_capped_on_its_own():
 
 
 # ---------------------------------------------------------------------------
-# inject_node
+# one node's sweep
 # ---------------------------------------------------------------------------
 
 def test_flat_resistive_response():
     net = _net("t\nR1 a 0 1k\nR2 a 0 1k\n.end\n")
     grid = make_grid(1.0, 1e6, 20)
-    resp = inject_node(build_pattern(net, gmin=0.0), "a", grid)
+    resp = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"]).responses[0]
     assert np.allclose(resp.magnitude, 500.0, rtol=1e-12)
     assert not resp.clamped.any()
 
@@ -100,7 +99,7 @@ def test_rc_response_matches_analytic_magnitude():
     r, c = 1e3, 1e-6
     net = _net(circuits.parallel_rc(r, c))
     grid = make_grid(1.0, 100e3, 50)
-    resp = inject_node(build_pattern(net, gmin=0.0), "a", grid)
+    resp = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"]).responses[0]
     f_pole = 1.0 / (2 * math.pi * r * c)
     expected = r / np.sqrt(1.0 + (grid.freqs / f_pole) ** 2)
     assert np.allclose(resp.magnitude, expected, rtol=1e-9)
@@ -119,7 +118,7 @@ def test_passive_loop_nodes_match_analytic_formulas():
     s = 2j * math.pi * grid.freqs
     den = s * s * l * c + s * r * c + 1.0
     for node, num in [("n1", s * l * (1.0 + s * r * c)), ("n2", r + s * l)]:
-        resp = inject_node(pattern, node, grid)
+        resp = sweep_all_nodes(pattern, grid, [node]).responses[0]
         assert np.allclose(resp.magnitude, np.abs(num / den), rtol=1e-9), node
 
 
@@ -128,7 +127,7 @@ def test_response_finite_everywhere_with_gmin():
     grid = make_grid(1.0, 1e9, 30)
     pattern = build_pattern(net)
     for node in net.nodes:
-        resp = inject_node(pattern, node, grid)
+        resp = sweep_all_nodes(pattern, grid, [node]).responses[0]
         assert np.all(np.isfinite(resp.magnitude))
 
 
@@ -158,7 +157,7 @@ def test_all_nodes_filter_hierarchical():
 
 def test_unknown_node_is_refused_before_any_solve(monkeypatch):
     calls = []
-    monkeypatch.setattr(sweep, "inject_node", lambda *args: calls.append(args))
+    monkeypatch.setattr(sweep, "solve", lambda *args, **kwargs: calls.append(args))
     pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
     with pytest.raises(MnaError, match="unknown node 'nope'"):
         sweep_all_nodes(pattern, make_grid(50.0, 500e3, 10), nodes=["n1", "nope"])
@@ -166,10 +165,12 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
 
 
 def test_one_solve_per_node_and_frequency(monkeypatch):
+    # Frequency-major: each frequency's Y is solved for every node, in
+    # node order, and every solve is handed the same work matrix.
     calls = []
 
     def counted(Y, b, **kwargs):
-        calls.append(kwargs["omega"])
+        calls.append((kwargs["omega"], int(np.flatnonzero(b)[0]), Y))
         return solve(Y, b, **kwargs)
 
     monkeypatch.setattr(sweep, "solve", counted)
@@ -177,7 +178,57 @@ def test_one_solve_per_node_and_frequency(monkeypatch):
     grid = make_grid(1.0, 1000.0, 10)
     swept = sweep_all_nodes(pattern, grid)
     assert len(grid) == 31 and len(swept.responses) == pattern.n_nodes == 7
-    assert calls == (2 * math.pi * grid.freqs).tolist() * 7
+    omegas = (2 * math.pi * grid.freqs).tolist()
+    assert [omega for omega, _, _ in calls] == [w for w in omegas for _ in range(7)]
+    assert [row for _, row, _ in calls] == list(range(7)) * 31
+    assert all(Y is calls[0][2] for _, _, Y in calls)
+
+
+def _failing_solve(monkeypatch, pattern, fail_at):
+    """Patch the sweep's solve to raise SingularSystem for each node in
+    ``fail_at`` at its omega; returns the (node, omega) of every call."""
+    calls = []
+
+    def failing(Y, b, **kwargs):
+        node = pattern.labels[int(np.flatnonzero(b)[0])]
+        calls.append((node, kwargs["omega"]))
+        if fail_at.get(node) == kwargs["omega"]:
+            raise SingularSystem(node, kwargs["omega"])
+        return solve(Y, b, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve", failing)
+    return calls
+
+
+def test_failing_node_stops_alone_and_leaves_the_others_bitwise(monkeypatch):
+    pattern = build_pattern(_net(circuits.ladder(3)))
+    grid = make_grid(1.0, 1000.0, 10)
+    clean = sweep_all_nodes(pattern, grid)
+    omegas = (2 * math.pi * grid.freqs).tolist()
+    calls = _failing_solve(monkeypatch, pattern, {"s2": omegas[15]})
+    swept = sweep_all_nodes(pattern, grid)
+    assert swept.errors == {"s2": str(SingularSystem("s2", omegas[15]))}
+    assert "s2" not in [r.node for r in swept.responses]
+    assert [omega for node, omega in calls if node == "s2"] == omegas[:16]
+    others = [r for r in clean.responses if r.node != "s2"]
+    assert [r.node for r in swept.responses] == [r.node for r in others]
+    for got, want in zip(swept.responses, others):
+        assert got.magnitude.tobytes() == want.magnitude.tobytes(), got.node
+        assert np.array_equal(got.clamped, want.clamped), got.node
+
+
+def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
+    # s3 fails first; errors follow the requested order, not the matrix
+    # rows (first sweep) and not the order of the failures (second).
+    pattern = build_pattern(_net(circuits.ladder(3)))
+    grid = make_grid(1.0, 1000.0, 10)
+    omegas = (2 * math.pi * grid.freqs).tolist()
+    _failing_solve(monkeypatch, pattern, {"m1": omegas[20], "s3": omegas[3]})
+    swept = sweep_all_nodes(pattern, grid, nodes=["s3", "m1", "in"])
+    assert list(swept.errors) == ["s3", "m1"]
+    assert [r.node for r in swept.responses] == ["in"]
+    swept = sweep_all_nodes(pattern, grid)
+    assert list(swept.errors) == ["m1", "s3"]
 
 
 def test_determinism_bitwise():
@@ -194,7 +245,7 @@ def test_determinism_bitwise():
 def test_all_nodes_entry_matches_single_node_sweep_bitwise():
     pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    single = inject_node(pattern, "n2", grid)
+    single = sweep_all_nodes(pattern, grid, ["n2"]).responses[0]
     (entry,) = [r for r in sweep_all_nodes(pattern, grid).responses if r.node == "n2"]
     assert np.array_equal(single.magnitude, entry.magnitude)
     assert np.array_equal(single.clamped, entry.clamped)
@@ -228,7 +279,7 @@ def test_in_place_assembly_matches_fresh_matrix_oracle_bitwise(src, grid_args):
     grid = make_grid(*grid_args)
     g_bytes, c_bytes = pattern.G.tobytes(), pattern.C.tobytes()
     swept = sweep_all_nodes(pattern, grid)
-    single = inject_node(pattern, pattern.labels[0], grid)
+    single = sweep_all_nodes(pattern, grid, [pattern.labels[0]]).responses[0]
     assert pattern.G.tobytes() == g_bytes and pattern.C.tobytes() == c_bytes
     assert not swept.errors
     assert [r.node for r in swept.responses] == pattern.labels[:pattern.n_nodes]
@@ -246,8 +297,8 @@ def test_added_isource_changes_nothing_bitwise():
     plus = _net(circuits.passive_rlc_loop(0.3).replace(
         ".end", "Iextra 0 n1 AC 3\n.end"))
     grid = make_grid(100.0, 1e5, 40)
-    ra = inject_node(build_pattern(base), "n2", grid)
-    rb = inject_node(build_pattern(plus), "n2", grid)
+    ra = sweep_all_nodes(build_pattern(base), grid, ["n2"]).responses[0]
+    rb = sweep_all_nodes(build_pattern(plus), grid, ["n2"]).responses[0]
     assert np.array_equal(ra.magnitude, rb.magnitude)
 
 
@@ -259,8 +310,8 @@ def test_added_vsource_is_zeroed_during_injection():
     with_v0 = base.replace(".end", "Vextra probe n1 AC 0\nRp probe 0 1g\n.end")
     grid = make_grid(100.0, 1e5, 40)
     na, nb = _net(with_v), _net(with_v0)
-    ra = inject_node(build_pattern(na), "n2", grid)
-    rb = inject_node(build_pattern(nb), "n2", grid)
+    ra = sweep_all_nodes(build_pattern(na), grid, ["n2"]).responses[0]
+    rb = sweep_all_nodes(build_pattern(nb), grid, ["n2"]).responses[0]
     assert np.allclose(ra.magnitude, rb.magnitude, rtol=1e-12)
 
 
@@ -270,7 +321,7 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
     # clamped, never as wild curvature.
     net = _net(circuits.hierarchical_opamp_buffer())
     grid = make_grid(1e3, 1e9, 50)
-    resp = inject_node(build_pattern(net), "Xamp.eo", grid)
+    resp = sweep_all_nodes(build_pattern(net), grid, ["Xamp.eo"]).responses[0]
     assert resp.clamped.all()
     curve = stability_curve(resp)
     assert np.all(curve.p == 0.0)
