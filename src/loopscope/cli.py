@@ -21,7 +21,8 @@ from .mna import GMIN_DEFAULT, MnaError, build_pattern
 from .netlist import Netlist, NetlistError, elaborate, parse, parse_value
 from .report import (REL_GAP_DEFAULT, StabilityReport, build_report,
                      render_curves_csv, render_json, render_text)
-from .stability import PEAK_FLOOR_DEFAULT, Severity, StabilityCurve, analyze_response
+from .stability import (PEAK_FLOOR_DEFAULT, Severity, StabilityCurve, detect_peaks,
+                        stability_curves)
 from .sweep import BadRange, FrequencyGrid, make_grid, sweep_all_nodes
 
 EXIT_OK = 0
@@ -133,11 +134,8 @@ def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
         if not _in_range(value, relation):
             raise ValueError(f"{name} must be a finite number {relation} 0, got {value!r}")
     swept = sweep_all_nodes(build_pattern(net, gmin=gmin), grid, nodes)
-    curves, peaks = [], []
-    for resp in swept.responses:
-        curve, node_peaks = analyze_response(resp, floor=floor)
-        curves.append(curve)
-        peaks.extend(node_peaks)
+    curves = stability_curves(swept)
+    peaks = [pk for curve in curves for pk in detect_peaks(curve, floor=floor)]
     return build_report(net.title, grid, peaks, warnings=net.warnings,
                         per_node_errors=swept.errors, rel_gap=gap), curves
 

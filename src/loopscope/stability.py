@@ -15,22 +15,24 @@ of the canonical loop wn**2 / (s (s + 2 zeta wn)).
 
 Implementation notes: the response is sampled on a uniform log grid, so
 P is one central second difference of ln|V| (exact for any quadratic in
-log-log coordinates, which is why pure slopes vanish identically).  An
+log-log coordinates, which is why pure slopes vanish identically),
+computed for every node of a sweep in one array expression.  An
 underdamped pole also carries small positive side lobes (about a tenth
 of the peak depth); a detected extremum that is both opposite in sign
 and much smaller than a close neighbour is discarded as such a lobe
-rather than reported as a separate resonance.
+rather than reported as a separate resonance.  Each candidate's doublet
+and side-lobe status is decided before its ``Peak`` is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
 
-from .sweep import BadRange, FrequencyGrid, NodeResponse
+from .sweep import BadRange, FrequencyGrid, Sweep
 
 PEAK_FLOOR_DEFAULT = 0.1
 #: A pole and a zero whose frequencies agree within this relative gap are
@@ -73,7 +75,7 @@ class Severity(IntEnum):
 @dataclass
 class StabilityCurve:
     node: str
-    log_freq: np.ndarray   # ln(omega) at interior grid points
+    log_freq: np.ndarray   # ln(omega) at interior grid points, shared by a sweep's curves
     magnitude: np.ndarray  # the response's |V| at the same points (a view)
     p: np.ndarray
     clamped: np.ndarray    # True where the difference stencil touched clamped data
@@ -92,7 +94,6 @@ class Peak:
     natural_freq: float            # Hz
     p_value: float
     flags: frozenset[PeakFlag] = frozenset()
-    sample_index: int = -1         # index into the curve arrays
     zeta: float | None = field(init=False)              # poles only
     phase_margin_deg: float | None = field(init=False)
     overshoot_pct: float | None = field(init=False)
@@ -113,26 +114,27 @@ class Peak:
                 and PeakFlag.CLAMPED_DATA not in self.flags)
 
 
-def stability_curve(resp: NodeResponse) -> StabilityCurve:
-    """Central second difference of ln(magnitude) over the log grid.
+def stability_curves(sweep: Sweep) -> list[StabilityCurve]:
+    """Central second difference of ln(magnitude) over the log grid, for
+    every node of ``sweep`` at once, one curve per row.
 
-    The magnitude is normalized by its maximum first, which makes the
-    curve exactly invariant under power-of-two rescaling of the data and
-    keeps the logs well conditioned.
+    Each row is normalized by its maximum first, which makes the curve
+    exactly invariant under power-of-two rescaling of the data and keeps
+    the logs well conditioned.
     """
-    n = len(resp.grid)
+    n = len(sweep.grid)
     if n < 3:
         raise BadRange(f"need at least 3 grid points, got {n}")
-    mag = resp.magnitude / np.max(resp.magnitude)
-    logm = np.log(mag)
-    h = resp.grid.log_step
-    p = (logm[2:] - 2.0 * logm[1:-1] + logm[:-2]) / (h * h)
-    clamped_in = resp.clamped
-    clamped = clamped_in[2:] | clamped_in[1:-1] | clamped_in[:-2]
-    log_freq = np.log(2.0 * math.pi * resp.grid.freqs[1:-1])
-    return StabilityCurve(node=resp.node, log_freq=log_freq,
-                          magnitude=resp.magnitude[1:-1], p=p,
-                          clamped=clamped, grid=resp.grid)
+    logm = np.log(sweep.magnitude / sweep.magnitude.max(axis=1, keepdims=True))
+    h = sweep.grid.log_step
+    p = (logm[:, 2:] - 2.0 * logm[:, 1:-1] + logm[:, :-2]) / (h * h)
+    c = sweep.clamped
+    clamped = c[:, 2:] | c[:, 1:-1] | c[:, :-2]
+    log_freq = np.log(2.0 * math.pi * sweep.grid.freqs[1:-1])
+    return [StabilityCurve(node=node, log_freq=log_freq,
+                           magnitude=sweep.magnitude[k, 1:-1], p=p[k],
+                           clamped=clamped[k], grid=sweep.grid)
+            for k, node in enumerate(sweep.nodes)]
 
 
 def zeta_from_index(p_value: float) -> float:
@@ -215,7 +217,7 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> li
     # points never become candidates.
     clamped = np.concatenate(([False], curve.clamped, [False]))
     near_clamp = clamped[:-2] | clamped[2:]
-    found: list[Peak] = []
+    found = []  # (kind, frequency, value, flags), in sample order
     for i in np.flatnonzero((minima | maxima) & ~curve.clamped).tolist():
         flags = set()
         if i == 0 or i == n - 1:
@@ -227,42 +229,25 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> li
         else:
             freq, value = refine_peak(curve, i)
         kind = PeakKind.COMPLEX_POLE if minima[i] else PeakKind.COMPLEX_ZERO
-        found.append(Peak(node=curve.node, kind=kind, natural_freq=freq,
-                          p_value=value, flags=frozenset(flags), sample_index=i))
+        found.append((kind, freq, value, flags))
 
-    # Doublet flagging: a close opposite pair is a joint feature.
+    # One pass over the opposite-kind pairs: a close pair is a doublet, a
+    # joint feature kept whole; any other candidate dwarfed by an opposite
+    # one within LOBE_WINDOW is a side lobe of it and dropped.
     gap = math.log1p(DOUBLET_GAP_DEFAULT)
-    doublet: set[int] = set()
-    for i, a in enumerate(found):
+    dominated = [False] * len(found)
+    for i, (kind_a, freq_a, value_a, flags_a) in enumerate(found):
         for j in range(i + 1, len(found)):
-            b = found[j]
-            if a.kind is b.kind:
+            kind_b, freq_b, value_b, flags_b = found[j]
+            if kind_a is kind_b:
                 continue
-            if abs(math.log(a.natural_freq / b.natural_freq)) <= gap:
-                doublet.add(i)
-                doublet.add(j)
-    for i in sorted(doublet):
-        found[i] = replace(found[i],
-                           flags=found[i].flags | {PeakFlag.POLE_ZERO_DOUBLET})
-
-    # Side-lobe suppression (single simultaneous pass over the raw set).
-    kept: list[Peak] = []
-    for i, a in enumerate(found):
-        if i in doublet:
-            kept.append(a)
-            continue
-        dominated = any(
-            b.kind is not a.kind
-            and abs(math.log(a.natural_freq / b.natural_freq)) <= LOBE_WINDOW
-            and abs(b.p_value) >= LOBE_RATIO * abs(a.p_value)
-            for j, b in enumerate(found) if j != i)
-        if not dominated:
-            kept.append(a)
-    return kept
-
-
-def analyze_response(resp: NodeResponse, floor: float = PEAK_FLOOR_DEFAULT,
-                     ) -> tuple[StabilityCurve, list[Peak]]:
-    """Full per-node pipeline: curve, then detected, refined and graded peaks."""
-    curve = stability_curve(resp)
-    return curve, detect_peaks(curve, floor=floor)
+            dist = abs(math.log(freq_a / freq_b))
+            if dist <= gap:
+                flags_a.add(PeakFlag.POLE_ZERO_DOUBLET)
+                flags_b.add(PeakFlag.POLE_ZERO_DOUBLET)
+            if dist <= LOBE_WINDOW:
+                dominated[i] |= abs(value_b) >= LOBE_RATIO * abs(value_a)
+                dominated[j] |= abs(value_a) >= LOBE_RATIO * abs(value_b)
+    return [Peak(curve.node, kind, freq, value, frozenset(flags))
+            for (kind, freq, value, flags), lobe in zip(found, dominated)
+            if PeakFlag.POLE_ZERO_DOUBLET in flags or not lobe]

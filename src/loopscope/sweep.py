@@ -6,8 +6,9 @@ injected into each requested node in turn, recording |V| at that node.
 With a 1 A stimulus the magnitude equals the driving-point impedance,
 and the stimulus level would cancel out of the downstream log-derivative
 analysis anyway.  ``sweep_all_nodes`` is the one entry point for an
-audit, of one node or of many; a node whose solve fails is recorded
-instead of aborting the audit, and gets no further solves.
+audit, of one node or of many, and returns one ``Sweep``: a nodes x
+frequencies block of magnitudes.  A node whose solve fails is recorded
+instead of aborting the audit, gets no further solves and has no row.
 """
 
 from __future__ import annotations
@@ -81,24 +82,21 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
 
 
 @dataclass
-class NodeResponse:
-    node: str
+class Sweep:
+    """Result of a sweep.  Row k of ``magnitude`` and ``clamped`` is node
+    ``nodes[k]``; rows keep the requested node order, and so does
+    ``errors``, which maps each node whose solve failed (it has no row)
+    to the failure."""
+
     grid: FrequencyGrid
+    nodes: list[str]
     magnitude: np.ndarray        # |V| in volts (== ohms at 1 A), floor applied
     clamped: np.ndarray          # bool, True where the floor kicked in
-
-
-@dataclass
-class AllNodesSweep:
-    """Result of a sweep: responses in the requested node order plus a
-    map, in that order too, of nodes whose solve failed (excluded)."""
-
-    responses: list[NodeResponse] = field(default_factory=list)
-    errors: dict[str, str] = field(default_factory=dict)
+    errors: dict[str, str]
 
 
 def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
-                    nodes: list[str] | None = None) -> AllNodesSweep:
+                    nodes: list[str] | None = None) -> Sweep:
     """Inject at each of ``nodes`` in the given order, or at every
     non-ground node in netlist order (``Netlist.nodes``) when None.
     Every name is resolved before any solve, so an unknown node raises
@@ -137,7 +135,6 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
                 clamped[k, i] = True
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR
-    return AllNodesSweep(
-        responses=[NodeResponse(labels[row], grid, magnitude[k], clamped[k])
-                   for k, row in enumerate(rows) if k not in failed],
-        errors={labels[rows[k]]: msg for k, msg in sorted(failed.items())})
+    ok = [k for k in range(len(rows)) if k not in failed]
+    return Sweep(grid, [labels[rows[k]] for k in ok], magnitude[ok], clamped[ok],
+                 {labels[rows[k]]: msg for k, msg in sorted(failed.items())})

@@ -24,13 +24,13 @@ from loopscope.stability import (
     PeakFlag,
     PeakKind,
     Severity,
-    analyze_response,
+    detect_peaks,
     overshoot_from_zeta,
     phase_margin_from_zeta,
-    stability_curve,
+    stability_curves,
     zeta_from_index,
 )
-from loopscope.sweep import make_grid, sweep_all_nodes
+from loopscope.sweep import Sweep, make_grid, sweep_all_nodes
 
 import circuits
 from circuits import GOLDEN_DIR
@@ -54,8 +54,8 @@ def criterion(num, title):
 def _pipeline(source, node, f_start, f_stop, ppd):
     net = elaborate(parse(source))
     grid = make_grid(f_start, f_stop, ppd)
-    resp = sweep_all_nodes(build_pattern(net), grid, [node]).responses[0]
-    return analyze_response(resp)
+    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, [node]))
+    return curve, detect_peaks(curve)
 
 
 def _deepest_pole(peaks):
@@ -203,10 +203,9 @@ def test_criterion_5_properties_and_golden():
     mag = 1.0 / np.sqrt((1 - u**2) ** 2 + (2 * 0.25 * u) ** 2)
 
     def curve_of(m):
-        from loopscope.sweep import NodeResponse
-        resp = NodeResponse(node="s", grid=grid, magnitude=m,
-                            clamped=np.zeros(len(m), dtype=bool))
-        return stability_curve(resp).p
+        swept = Sweep(grid, ["s"], m[np.newaxis], np.zeros((1, len(m)), dtype=bool), {})
+        (curve,) = stability_curves(swept)
+        return curve.p
 
     assert np.array_equal(curve_of(mag), curve_of(mag * 2.0**30))
     assert np.max(np.abs(curve_of(mag) - curve_of(mag * 7.3))) <= 1e-9
@@ -230,8 +229,9 @@ def test_criterion_5_properties_and_golden():
     pattern = build_pattern(elaborate(parse(circuits.passive_rlc_loop(0.2))))
     s1 = sweep_all_nodes(pattern, grid)
     s2 = sweep_all_nodes(pattern, grid)
-    for ra, rb in zip(s1.responses, s2.responses):
-        assert np.array_equal(ra.magnitude, rb.magnitude)
+    assert s1.nodes == s2.nodes
+    for ra, rb in zip(s1.magnitude, s2.magnitude):
+        assert np.array_equal(ra, rb)
     peaks = [Peak(n, PeakKind.COMPLEX_POLE, f, -d) for n, d, f in SAMPLE_AUDIT_ROWS]
     base = group_loops(peaks)
     rng = np.random.default_rng(7)
@@ -281,9 +281,10 @@ def test_criterion_7_end_of_range():
         net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
         report, (curve,) = audit(net, make_grid(50.0, f_stop, 200), nodes=["out"])
         poles = [pk for g in report.groups for pk in g.members]
-        n = len(curve.p)
+        # Flagged peaks keep their raw sample frequency.
+        ends = [math.exp(x) / (2.0 * math.pi) for x in curve.log_freq[[0, -1]]]
         for pk in poles + report.zeros:
-            if pk.sample_index in (0, n - 1):
+            if pk.natural_freq in ends:
                 assert PeakFlag.END_OF_RANGE in pk.flags
                 assert pk.severity is None
         for pk in poles:

@@ -18,9 +18,9 @@ from loopscope.stability import (
     Peak,
     PeakFlag,
     PeakKind,
-    stability_curve,
+    stability_curves,
 )
-from loopscope.sweep import NodeResponse, make_grid
+from loopscope.sweep import Sweep, make_grid
 
 
 def pole(node, p_value, freq, flags=()):
@@ -231,8 +231,9 @@ def _curve(node="a", n_points=5):
     grid = make_grid(1.0, 10.0 ** ((n_points - 1) / 10.0), 10)
     assert len(grid) == n_points
     mag = np.linspace(1.0, 2.0, n_points)
-    return stability_curve(NodeResponse(node=node, grid=grid, magnitude=mag,
-                                        clamped=np.zeros(n_points, dtype=bool)))
+    (curve,) = stability_curves(Sweep(grid, [node], mag[np.newaxis],
+                                      np.zeros((1, n_points), dtype=bool), {}))
+    return curve
 
 
 def test_csv_line_count():

@@ -23,25 +23,30 @@ from loopscope.stability import (
     PeakKind,
     Severity,
     StabilityCurve,
-    analyze_response,
     detect_peaks,
     overshoot_from_zeta,
     phase_margin_from_zeta,
     refine_peak,
     severity_from_zeta,
-    stability_curve,
+    stability_curves,
     zeta_from_index,
 )
-from loopscope.sweep import BadRange, FrequencyGrid, NodeResponse, make_grid, sweep_all_nodes
+from loopscope.sweep import BadRange, FrequencyGrid, Sweep, make_grid, sweep_all_nodes
 
 import circuits
 
 
 def synthetic(grid, magnitude, node="syn"):
+    """A one-row sweep of ``magnitude`` at ``node``."""
     magnitude = np.asarray(magnitude, dtype=float)
     clamped = magnitude < 1e-300
-    return NodeResponse(node=node, grid=grid,
-                        magnitude=np.maximum(magnitude, 1e-300), clamped=clamped)
+    return Sweep(grid, [node], np.maximum(magnitude, 1e-300)[np.newaxis],
+                 clamped[np.newaxis], {})
+
+
+def curve_of(grid, magnitude):
+    (curve,) = stability_curves(synthetic(grid, magnitude))
+    return curve
 
 
 def second_order_magnitude(freqs, fn, zeta):
@@ -51,19 +56,19 @@ def second_order_magnitude(freqs, fn, zeta):
 
 
 # ---------------------------------------------------------------------------
-# stability_curve basics
+# stability_curves basics
 # ---------------------------------------------------------------------------
 
 def test_flat_magnitude_gives_zero_curve():
     grid = make_grid(1.0, 1e4, 25)
-    curve = stability_curve(synthetic(grid, np.full(len(grid), 123.0)))
+    curve = curve_of(grid, np.full(len(grid), 123.0))
     assert np.all(curve.p == 0.0)
     assert len(curve.p) == len(grid) - 2
 
 
 def test_one_over_omega_gives_zero_curve():
     grid = make_grid(1.0, 1e4, 25)
-    curve = stability_curve(synthetic(grid, 42.0 / grid.freqs))
+    curve = curve_of(grid, 42.0 / grid.freqs)
     assert np.max(np.abs(curve.p)) < 1e-9
 
 
@@ -74,7 +79,7 @@ def test_single_real_pole_minimum():
     fp = 250.0
     grid = make_grid(1.0, 100e3, 100)
     mag = 1.0 / np.sqrt(1.0 + (grid.freqs / fp) ** 2)
-    curve = stability_curve(synthetic(grid, mag))
+    curve = curve_of(grid, mag)
     i = int(np.argmin(curve.p))
     f_at_min = math.exp(curve.log_freq[i]) / (2 * math.pi)
     assert curve.p[i] == pytest.approx(-0.5, abs=5e-4)
@@ -92,8 +97,7 @@ def test_performance_index_closure_on_synthetic_data(zeta):
     # -1/zeta^2 within discretization error at 200 points/decade.
     fn = 1e3
     grid = make_grid(10.0, 1e5, 200)
-    resp = synthetic(grid, second_order_magnitude(grid.freqs, fn, zeta))
-    curve = stability_curve(resp)
+    curve = curve_of(grid, second_order_magnitude(grid.freqs, fn, zeta))
     i = int(np.argmin(np.abs(grid.freqs[1:-1] - fn)))
     assert curve.p[i] == pytest.approx(-1.0 / zeta**2, rel=0.02)
 
@@ -102,16 +106,16 @@ def test_pole_zero_duality_negates_curve():
     fn = 1e3
     grid = make_grid(10.0, 1e5, 100)
     mag = second_order_magnitude(grid.freqs, fn, 0.25)
-    p_pole = stability_curve(synthetic(grid, mag)).p
-    p_zero = stability_curve(synthetic(grid, 1.0 / mag)).p
+    p_pole = curve_of(grid, mag).p
+    p_zero = curve_of(grid, 1.0 / mag).p
     assert np.max(np.abs(p_pole + p_zero)) <= 1e-9
 
 
 def test_scale_invariance_power_of_two_is_bitwise():
     grid = make_grid(10.0, 1e5, 60)
     mag = second_order_magnitude(grid.freqs, 1e3, 0.3)
-    base = stability_curve(synthetic(grid, mag)).p
-    scaled = stability_curve(synthetic(grid, mag * 2.0**40)).p
+    base = curve_of(grid, mag).p
+    scaled = curve_of(grid, mag * 2.0**40).p
     assert np.array_equal(base, scaled)
 
 
@@ -121,8 +125,8 @@ def test_scale_invariance_power_of_two_is_bitwise():
 def test_scale_invariance_general(alpha):
     grid = make_grid(10.0, 1e5, 40)
     mag = second_order_magnitude(grid.freqs, 1e3, 0.4)
-    base = stability_curve(synthetic(grid, mag)).p
-    scaled = stability_curve(synthetic(grid, mag * alpha)).p
+    base = curve_of(grid, mag).p
+    scaled = curve_of(grid, mag * alpha).p
     assert np.max(np.abs(base - scaled)) <= 1e-9
 
 
@@ -142,7 +146,7 @@ def test_products_of_real_factors_stay_bounded(data):
         fb = 10.0 ** (offset + slot)
         term = -0.5 * np.log1p((grid.freqs / fb) ** 2)
         logm += -term if is_zero else term
-    curve = stability_curve(synthetic(grid, np.exp(logm)))
+    curve = curve_of(grid, np.exp(logm))
     assert np.all(curve.p >= -1.05)
     assert np.all(curve.p <= 1.05)
 
@@ -151,7 +155,7 @@ def test_coincident_double_real_pole_reaches_minus_one():
     fp = 1e3
     grid = make_grid(10.0, 1e5, 100)
     mag = 1.0 / (1.0 + (grid.freqs / fp) ** 2)  # two identical poles
-    curve = stability_curve(synthetic(grid, mag))
+    curve = curve_of(grid, mag)
     assert curve.p.min() == pytest.approx(-1.0, abs=5e-4)
     assert curve.p.min() >= -1.05
 
@@ -161,7 +165,7 @@ def test_grid_too_short():
     tiny = FrequencyGrid(f_start=1.0, f_stop=10.0, points_per_decade=10,
                          freqs=freqs, log_step=math.log(10.0))
     with pytest.raises(BadRange, match="^need at least 3 grid points, got 2$"):
-        stability_curve(synthetic(tiny, np.ones(2)))
+        curve_of(tiny, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ def test_grid_too_short():
 
 def test_flat_curve_detects_nothing():
     grid = make_grid(1.0, 1e4, 25)
-    curve = stability_curve(synthetic(grid, np.full(len(grid), 5.0)))
+    curve = curve_of(grid, np.full(len(grid), 5.0))
     assert detect_peaks(curve) == []
 
 
@@ -178,7 +182,7 @@ def test_single_real_pole_detected_as_wide_pole():
     fp = 250.0
     grid = make_grid(1.0, 100e3, 100)
     mag = 1.0 / np.sqrt(1.0 + (grid.freqs / fp) ** 2)
-    curve = stability_curve(synthetic(grid, mag))
+    curve = curve_of(grid, mag)
     peaks = detect_peaks(curve)
     assert len(peaks) == 1
     (pk,) = peaks
@@ -193,8 +197,8 @@ def test_underdamped_pole_yields_one_pole_and_no_zero():
     # be suppressed, not reported as complex zeros.
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    resp = sweep_all_nodes(build_pattern(net), grid, ["n2"]).responses[0]
-    curve, peaks = analyze_response(resp)
+    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
+    peaks = detect_peaks(curve)
     assert [pk.kind for pk in peaks] == [PeakKind.COMPLEX_POLE]
     assert peaks[0].p_value == pytest.approx(-25.0, rel=0.03)
     # the raw curve really does contain positive lobes above the floor
@@ -210,7 +214,7 @@ def test_genuine_doublet_is_flagged_and_kept():
     grid = make_grid(10.0, 1e5, 200)
     mag = (second_order_magnitude(grid.freqs, fn, 0.05)
            / second_order_magnitude(grid.freqs, fn * 1.02, 0.05))
-    curve = stability_curve(synthetic(grid, mag))
+    curve = curve_of(grid, mag)
     peaks = detect_peaks(curve)
     kinds = {pk.kind for pk in peaks}
     assert kinds == {PeakKind.COMPLEX_POLE, PeakKind.COMPLEX_ZERO}
@@ -223,8 +227,8 @@ def test_end_of_range_pole_flagged_and_ungraded():
     fn = 5032.9
     grid = make_grid(50.0, 4600.0, 200)
     net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-    resp = sweep_all_nodes(build_pattern(net), grid, ["out"]).responses[0]
-    _, peaks = analyze_response(resp)
+    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["out"]))
+    peaks = detect_peaks(curve)
     poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert poles, "expected a boundary pole candidate"
     for pk in poles:
@@ -239,11 +243,12 @@ def test_clamped_samples_never_become_candidates():
     mag = np.full(len(grid), 3.0)
     mag[10] = 0.0  # exact null -> floor clamp
     resp = synthetic(grid, mag)
-    assert resp.clamped[10]
-    curve = stability_curve(resp)
+    assert resp.clamped[0, 10]
+    (curve,) = stability_curves(resp)
     peaks = detect_peaks(curve)
     # The huge fake curvature around the clamped point is ignored.
-    assert all(not curve.clamped[pk.sample_index] for pk in peaks)
+    lo, hi = np.exp(curve.log_freq[curve.clamped][[0, -1]]) / (2 * math.pi)
+    assert not any(lo <= pk.natural_freq <= hi for pk in peaks)
     assert peaks == []
 
 
@@ -268,8 +273,7 @@ def reference_detect_peaks(curve, floor):
             freq, value = math.exp(curve.log_freq[i]) / (2.0 * math.pi), float(p[i])
         else:
             freq, value = refine_peak(curve, i)
-        found.append(Peak(curve.node, kind, freq, value, flags=frozenset(flags),
-                          sample_index=i))
+        found.append((i, Peak(curve.node, kind, freq, value, flags=frozenset(flags))))
 
     for i in range(1, n - 1):
         if p[i] < -floor and p[i] < p[i - 1] and p[i] < p[i + 1]:
@@ -288,32 +292,32 @@ def reference_detect_peaks(curve, floor):
 
     gap = math.log1p(DOUBLET_GAP_DEFAULT)
     doublet = set()
-    for i, a in enumerate(found):
+    for i, (_, a) in enumerate(found):
         for j in range(i + 1, len(found)):
-            b = found[j]
+            b = found[j][1]
             if a.kind is b.kind:
                 continue
             if abs(math.log(a.natural_freq / b.natural_freq)) <= gap:
                 doublet.add(i)
                 doublet.add(j)
     for i in sorted(doublet):
-        found[i] = replace(found[i],
-                           flags=found[i].flags | {PeakFlag.POLE_ZERO_DOUBLET})
+        index, pk = found[i]
+        found[i] = (index, replace(pk, flags=pk.flags | {PeakFlag.POLE_ZERO_DOUBLET}))
 
     kept = []
-    for i, a in enumerate(found):
+    for i, (index, a) in enumerate(found):
         if i in doublet:
-            kept.append(a)
+            kept.append((index, a))
             continue
         dominated = any(
             b.kind is not a.kind
             and abs(math.log(a.natural_freq / b.natural_freq)) <= LOBE_WINDOW
             and abs(b.p_value) >= LOBE_RATIO * abs(a.p_value)
-            for j, b in enumerate(found) if j != i)
+            for j, (_, b) in enumerate(found) if j != i)
         if not dominated:
-            kept.append(a)
-    kept.sort(key=lambda pk: pk.sample_index)
-    return kept
+            kept.append((index, a))
+    kept.sort(key=lambda item: item[0])
+    return [pk for _, pk in kept]
 
 
 # A few repeated levels make ties between neighbours and plateaus common.
@@ -343,6 +347,13 @@ def test_detect_peaks_matches_loop_reference(data, floor, log_step):
     # a pole at each end, a tie and a clamped sample
     ([-5.0, -1.0, -3.0, -3.0, 0.5, 2.0, -7.0],
      [False, False, False, False, True, False, False]),
+    # a refined pole-zero doublet whose members the end extrema, four
+    # times deeper and within LOBE_WINDOW, would drop as side lobes: kept
+    # and flagged
+    ([20.0, -1.0, 1.0, -20.0], None),
+    # a small zero within LOBE_WINDOW of a deep doublet pole, and of no
+    # other pole: dropped (the plateau after the pair holds no candidate)
+    ([0.0, 0.5, 0.0, 100.0, -5.0, 5.0, -100.0, -100.0], None),
 ])
 def test_detect_peaks_matches_loop_reference_on_edge_cases(p, clamped):
     curve = _tiny_curve(p, clamped)
@@ -408,8 +419,8 @@ def test_refine_collinear_falls_back_to_sample():
 def test_refined_frequency_accuracy_at_100_ppd():
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    resp = sweep_all_nodes(build_pattern(net), grid, ["n2"]).responses[0]
-    _, peaks = analyze_response(resp)
+    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
+    peaks = detect_peaks(curve)
     (pole,) = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert pole.natural_freq == pytest.approx(circuits.F_NATURAL, rel=0.005)
 

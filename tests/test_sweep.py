@@ -8,7 +8,7 @@ import pytest
 from loopscope import sweep
 from loopscope.mna import MnaError, SingularSystem, build_pattern, solve
 from loopscope.netlist import elaborate, parse
-from loopscope.stability import stability_curve
+from loopscope.stability import stability_curves
 from loopscope.sweep import (
     MAGNITUDE_FLOOR,
     MAX_GRID_POINTS,
@@ -90,19 +90,20 @@ def test_grid_density_is_not_capped_on_its_own():
 def test_flat_resistive_response():
     net = _net("t\nR1 a 0 1k\nR2 a 0 1k\n.end\n")
     grid = make_grid(1.0, 1e6, 20)
-    resp = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"]).responses[0]
-    assert np.allclose(resp.magnitude, 500.0, rtol=1e-12)
-    assert not resp.clamped.any()
+    swept = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"])
+    assert swept.nodes == ["a"] and swept.magnitude.shape == (1, len(grid))
+    assert np.allclose(swept.magnitude, 500.0, rtol=1e-12)
+    assert not swept.clamped.any()
 
 
 def test_rc_response_matches_analytic_magnitude():
     r, c = 1e3, 1e-6
     net = _net(circuits.parallel_rc(r, c))
     grid = make_grid(1.0, 100e3, 50)
-    resp = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"]).responses[0]
+    (magnitude,) = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"]).magnitude
     f_pole = 1.0 / (2 * math.pi * r * c)
     expected = r / np.sqrt(1.0 + (grid.freqs / f_pole) ** 2)
-    assert np.allclose(resp.magnitude, expected, rtol=1e-9)
+    assert np.allclose(magnitude, expected, rtol=1e-9)
     assert f_pole == pytest.approx(159.1549, rel=1e-4)
 
 
@@ -118,8 +119,8 @@ def test_passive_loop_nodes_match_analytic_formulas():
     s = 2j * math.pi * grid.freqs
     den = s * s * l * c + s * r * c + 1.0
     for node, num in [("n1", s * l * (1.0 + s * r * c)), ("n2", r + s * l)]:
-        resp = sweep_all_nodes(pattern, grid, [node]).responses[0]
-        assert np.allclose(resp.magnitude, np.abs(num / den), rtol=1e-9), node
+        (magnitude,) = sweep_all_nodes(pattern, grid, [node]).magnitude
+        assert np.allclose(magnitude, np.abs(num / den), rtol=1e-9), node
 
 
 def test_response_finite_everywhere_with_gmin():
@@ -127,8 +128,8 @@ def test_response_finite_everywhere_with_gmin():
     grid = make_grid(1.0, 1e9, 30)
     pattern = build_pattern(net)
     for node in net.nodes:
-        resp = sweep_all_nodes(pattern, grid, [node]).responses[0]
-        assert np.all(np.isfinite(resp.magnitude))
+        (magnitude,) = sweep_all_nodes(pattern, grid, [node]).magnitude
+        assert np.all(np.isfinite(magnitude))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,8 @@ def test_all_nodes_count_and_order():
     net = _net("t\nR1 a b 1k\nC1 b 0 1u\nR2 b c 1k\nC2 c 0 1u\nR3 c d 1k\nC3 d 0 1u\n.end\n")
     grid = make_grid(10.0, 1e4, 20)
     swept = sweep_all_nodes(build_pattern(net), grid)
-    assert [r.node for r in swept.responses] == ["a", "b", "c", "d"]
+    assert swept.nodes == ["a", "b", "c", "d"]
+    assert swept.magnitude.shape == swept.clamped.shape == (4, len(grid))
     assert swept.errors == {}
 
 
@@ -152,7 +154,7 @@ def test_all_nodes_filter_hierarchical():
     assert len(chosen) > 1
     swept = sweep_all_nodes(build_pattern(net), grid,
                             nodes=[n.swapcase() for n in chosen])
-    assert [r.node for r in swept.responses] == chosen
+    assert swept.nodes == chosen
 
 
 def test_unknown_node_is_refused_before_any_solve(monkeypatch):
@@ -177,7 +179,7 @@ def test_one_solve_per_node_and_frequency(monkeypatch):
     pattern = build_pattern(_net(circuits.ladder(3)))
     grid = make_grid(1.0, 1000.0, 10)
     swept = sweep_all_nodes(pattern, grid)
-    assert len(grid) == 31 and len(swept.responses) == pattern.n_nodes == 7
+    assert len(grid) == 31 and len(swept.nodes) == pattern.n_nodes == 7
     omegas = (2 * math.pi * grid.freqs).tolist()
     assert [omega for omega, _, _ in calls] == [w for w in omegas for _ in range(7)]
     assert [row for _, row, _ in calls] == list(range(7)) * 31
@@ -208,13 +210,15 @@ def test_failing_node_stops_alone_and_leaves_the_others_bitwise(monkeypatch):
     calls = _failing_solve(monkeypatch, pattern, {"s2": omegas[15]})
     swept = sweep_all_nodes(pattern, grid)
     assert swept.errors == {"s2": str(SingularSystem("s2", omegas[15]))}
-    assert "s2" not in [r.node for r in swept.responses]
+    assert "s2" not in swept.nodes
     assert [omega for node, omega in calls if node == "s2"] == omegas[:16]
-    others = [r for r in clean.responses if r.node != "s2"]
-    assert [r.node for r in swept.responses] == [r.node for r in others]
-    for got, want in zip(swept.responses, others):
-        assert got.magnitude.tobytes() == want.magnitude.tobytes(), got.node
-        assert np.array_equal(got.clamped, want.clamped), got.node
+    others = [k for k, node in enumerate(clean.nodes) if node != "s2"]
+    assert swept.nodes == [clean.nodes[k] for k in others]
+    assert swept.magnitude.shape == (len(others), len(grid))
+    for got, want in enumerate(others):
+        node = swept.nodes[got]
+        assert swept.magnitude[got].tobytes() == clean.magnitude[want].tobytes(), node
+        assert np.array_equal(swept.clamped[got], clean.clamped[want]), node
 
 
 def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
@@ -226,9 +230,51 @@ def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
     _failing_solve(monkeypatch, pattern, {"m1": omegas[20], "s3": omegas[3]})
     swept = sweep_all_nodes(pattern, grid, nodes=["s3", "m1", "in"])
     assert list(swept.errors) == ["s3", "m1"]
-    assert [r.node for r in swept.responses] == ["in"]
+    assert swept.nodes == ["in"]
     swept = sweep_all_nodes(pattern, grid)
     assert list(swept.errors) == ["m1", "s3"]
+
+
+def _row_curve(grid, magnitude, clamped):
+    """One node's stability curve computed from that node's row alone: the
+    reference the whole-block expression of ``stability_curves`` must
+    match bitwise."""
+    logm = np.log(magnitude / np.max(magnitude))
+    h = grid.log_step
+    p = (logm[2:] - 2.0 * logm[1:-1] + logm[:-2]) / (h * h)
+    return p, clamped[2:] | clamped[1:-1] | clamped[:-2], magnitude[1:-1]
+
+
+@pytest.mark.parametrize("case", ["ladder10", "opamp", "one_node_fails"])
+def test_stability_curves_match_per_row_reference_bitwise(case, monkeypatch):
+    if case == "ladder10":
+        pattern = build_pattern(_net(circuits.ladder(10)))
+        grid = make_grid(1e3, 1e9, 100)
+    elif case == "opamp":
+        pattern = build_pattern(_net(circuits.hierarchical_opamp_buffer()))
+        grid = make_grid(1e3, 1e9, 100)
+    else:
+        pattern = build_pattern(_net(circuits.ladder(3)))
+        grid = make_grid(1.0, 1000.0, 10)
+        omegas = (2 * math.pi * grid.freqs).tolist()
+        _failing_solve(monkeypatch, pattern, {"s2": omegas[15]})
+    swept = sweep_all_nodes(pattern, grid)
+    rows = {"ladder10": 21, "opamp": 5, "one_node_fails": 6}[case]
+    assert len(swept.nodes) == rows and swept.magnitude.shape == (rows, len(grid))
+    assert list(swept.errors) == (["s2"] if case == "one_node_fails" else [])
+    if case == "opamp":  # the input, pinned by Vin, is clamped everywhere
+        assert swept.clamped[swept.nodes.index("in")].all()
+    curves = stability_curves(swept)
+    assert [curve.node for curve in curves] == swept.nodes
+    log_freq = np.log(2.0 * math.pi * grid.freqs[1:-1])
+    for curve, magnitude, clamped in zip(curves, swept.magnitude, swept.clamped):
+        p, stencil, interior = _row_curve(grid, magnitude.copy(), clamped.copy())
+        assert curve.p.tobytes() == p.tobytes(), curve.node
+        assert np.array_equal(curve.clamped, stencil), curve.node
+        assert curve.magnitude.tobytes() == interior.tobytes(), curve.node
+        assert curve.log_freq is curves[0].log_freq
+        assert curve.log_freq.tobytes() == log_freq.tobytes()
+        assert curve.grid is grid
 
 
 def test_determinism_bitwise():
@@ -236,19 +282,19 @@ def test_determinism_bitwise():
     grid = make_grid(50.0, 5e6, 40)
     a = sweep_all_nodes(build_pattern(net), grid)
     b = sweep_all_nodes(build_pattern(net), grid)
-    assert len(a.responses) == len(b.responses) == len(net.nodes)
-    for ra, rb in zip(a.responses, b.responses):
-        assert ra.node == rb.node
-        assert np.array_equal(ra.magnitude, rb.magnitude)
+    assert len(a.nodes) == len(b.nodes) == len(net.nodes)
+    assert a.nodes == b.nodes
+    assert np.array_equal(a.magnitude, b.magnitude)
 
 
 def test_all_nodes_entry_matches_single_node_sweep_bitwise():
     pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    single = sweep_all_nodes(pattern, grid, ["n2"]).responses[0]
-    (entry,) = [r for r in sweep_all_nodes(pattern, grid).responses if r.node == "n2"]
-    assert np.array_equal(single.magnitude, entry.magnitude)
-    assert np.array_equal(single.clamped, entry.clamped)
+    single = sweep_all_nodes(pattern, grid, ["n2"])
+    swept = sweep_all_nodes(pattern, grid)
+    k = swept.nodes.index("n2")
+    assert np.array_equal(single.magnitude[0], swept.magnitude[k])
+    assert np.array_equal(single.clamped[0], swept.clamped[k])
 
 
 def _oracle_response(pattern, node, grid):
@@ -279,17 +325,18 @@ def test_in_place_assembly_matches_fresh_matrix_oracle_bitwise(src, grid_args):
     grid = make_grid(*grid_args)
     g_bytes, c_bytes = pattern.G.tobytes(), pattern.C.tobytes()
     swept = sweep_all_nodes(pattern, grid)
-    single = sweep_all_nodes(pattern, grid, [pattern.labels[0]]).responses[0]
+    single = sweep_all_nodes(pattern, grid, [pattern.labels[0]])
     assert pattern.G.tobytes() == g_bytes and pattern.C.tobytes() == c_bytes
     assert not swept.errors
-    assert [r.node for r in swept.responses] == pattern.labels[:pattern.n_nodes]
-    for resp in [*swept.responses, single]:
-        magnitude, clamped = _oracle_response(pattern, resp.node, grid)
-        assert resp.magnitude.tobytes() == magnitude.tobytes(), resp.node
-        assert np.array_equal(resp.clamped, clamped), resp.node
+    assert swept.nodes == pattern.labels[:pattern.n_nodes]
+    for result in (swept, single):
+        for node, row_mag, row_clamped in zip(result.nodes, result.magnitude,
+                                              result.clamped):
+            magnitude, clamped = _oracle_response(pattern, node, grid)
+            assert row_mag.tobytes() == magnitude.tobytes(), node
+            assert np.array_equal(row_clamped, clamped), node
     if "Xamp.eo" in pattern.labels:  # the ideal-source-driven node clamps
-        (eo,) = [r for r in swept.responses if r.node == "Xamp.eo"]
-        assert eo.clamped.all()
+        assert swept.clamped[swept.nodes.index("Xamp.eo")].all()
 
 
 def test_added_isource_changes_nothing_bitwise():
@@ -297,8 +344,8 @@ def test_added_isource_changes_nothing_bitwise():
     plus = _net(circuits.passive_rlc_loop(0.3).replace(
         ".end", "Iextra 0 n1 AC 3\n.end"))
     grid = make_grid(100.0, 1e5, 40)
-    ra = sweep_all_nodes(build_pattern(base), grid, ["n2"]).responses[0]
-    rb = sweep_all_nodes(build_pattern(plus), grid, ["n2"]).responses[0]
+    ra = sweep_all_nodes(build_pattern(base), grid, ["n2"])
+    rb = sweep_all_nodes(build_pattern(plus), grid, ["n2"])
     assert np.array_equal(ra.magnitude, rb.magnitude)
 
 
@@ -310,8 +357,8 @@ def test_added_vsource_is_zeroed_during_injection():
     with_v0 = base.replace(".end", "Vextra probe n1 AC 0\nRp probe 0 1g\n.end")
     grid = make_grid(100.0, 1e5, 40)
     na, nb = _net(with_v), _net(with_v0)
-    ra = sweep_all_nodes(build_pattern(na), grid, ["n2"]).responses[0]
-    rb = sweep_all_nodes(build_pattern(nb), grid, ["n2"]).responses[0]
+    ra = sweep_all_nodes(build_pattern(na), grid, ["n2"])
+    rb = sweep_all_nodes(build_pattern(nb), grid, ["n2"])
     assert np.allclose(ra.magnitude, rb.magnitude, rtol=1e-12)
 
 
@@ -321,9 +368,9 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
     # clamped, never as wild curvature.
     net = _net(circuits.hierarchical_opamp_buffer())
     grid = make_grid(1e3, 1e9, 50)
-    resp = sweep_all_nodes(build_pattern(net), grid, ["Xamp.eo"]).responses[0]
-    assert resp.clamped.all()
-    curve = stability_curve(resp)
+    swept = sweep_all_nodes(build_pattern(net), grid, ["Xamp.eo"])
+    assert swept.clamped.all()
+    (curve,) = stability_curves(swept)
     assert np.all(curve.p == 0.0)
 
 
@@ -335,6 +382,6 @@ def test_singular_circuit_collects_per_node_errors():
     grid = make_grid(10.0, 1e3, 10)
     for nodes in (None, ["A"]):
         swept = sweep_all_nodes(build_pattern(net), grid, nodes=nodes)
-        assert swept.responses == []
+        assert swept.nodes == [] and swept.magnitude.shape == (0, len(grid))
         assert list(swept.errors) == ["a"]
         assert "singular" in swept.errors["a"].lower()
