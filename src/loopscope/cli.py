@@ -21,7 +21,7 @@ from .mna import GMIN_DEFAULT, MnaError, build_pattern
 from .netlist import Netlist, NetlistError, elaborate, parse, parse_value
 from .report import (REL_GAP_DEFAULT, StabilityReport, build_report,
                      render_curves_csv, render_json, render_text)
-from .stability import (PEAK_FLOOR_DEFAULT, Severity, StabilityCurve, detect_peaks,
+from .stability import (PEAK_FLOOR_DEFAULT, Curves, Severity, detect_peaks,
                         stability_curves)
 from .sweep import BadRange, FrequencyGrid, make_grid, sweep_all_nodes
 
@@ -123,7 +123,7 @@ def _param_references(net: Netlist) -> set[str]:
 
 def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
           floor: float = PEAK_FLOOR_DEFAULT, gap: float = REL_GAP_DEFAULT,
-          gmin: float = GMIN_DEFAULT) -> tuple[StabilityReport, list[StabilityCurve]]:
+          gmin: float = GMIN_DEFAULT) -> tuple[StabilityReport, Curves]:
     """Sweep ``nodes`` (all when None), analyse each and group the peaks
     into loops.  Returns the report and the analysed nodes' curves; a node
     that fails to solve is in ``report.per_node_errors`` instead.  Raises
@@ -135,7 +135,7 @@ def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
             raise ValueError(f"{name} must be a finite number {relation} 0, got {value!r}")
     swept = sweep_all_nodes(build_pattern(net, gmin=gmin), grid, nodes)
     curves = stability_curves(swept)
-    peaks = [pk for curve in curves for pk in detect_peaks(curve, floor=floor)]
+    peaks = detect_peaks(curves, floor=floor)
     return build_report(net.title, grid, peaks, warnings=net.warnings,
                         per_node_errors=swept.errors, rel_gap=gap), curves
 
@@ -170,7 +170,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"loopscope: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if not curves:
+    if not curves.nodes:
         # Nothing was analysed, so "no loops" would be a false all-clear.
         if report.per_node_errors:
             reason = f"all {len(report.per_node_errors)} swept node(s) failed to solve"
@@ -185,14 +185,14 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit(args: argparse.Namespace, report: StabilityReport, curves):
+def _emit(args: argparse.Namespace, report: StabilityReport, curves: Curves):
     # Every requested output is rendered before anything is written, so a
     # render error leaves no file behind and no partial set of outputs.
     text = render_text(report)
     if args.stamp:
         now = datetime.datetime.now().isoformat(timespec="seconds")
         text = f"generated {now}\n{text}"
-    csv_text = render_curves_csv(report.grid, curves) if args.csv_path else None
+    csv_text = render_curves_csv(curves) if args.csv_path else None
     json_text = render_json(report) if args.json_path else None
     if args.out_path:
         _write(args.out_path, text)

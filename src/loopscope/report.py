@@ -22,7 +22,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .stability import Peak, PeakKind, Severity, StabilityCurve
+import numpy as np
+
+from .stability import Curves, Peak, PeakKind, Severity
 from .sweep import FrequencyGrid
 
 REL_GAP_DEFAULT = 0.05
@@ -117,7 +119,7 @@ def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],
 def format_eng_freq(freq_hz: float) -> str:
     """Three-significant-digit engineering formatting: 3.16 MHz, 47.9 MHz."""
     value = float(f"{freq_hz:.3g}")
-    for unit, scale in (("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3)):
+    for unit, scale in (("THz", 1e12), ("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3)):
         if value >= scale:
             return f"{value / scale:.3g} {unit}"
     return f"{value:.3g} Hz"
@@ -180,25 +182,19 @@ def render_text(report: StabilityReport) -> str:
     return "\n".join(out)
 
 
-def render_curves_csv(grid: FrequencyGrid, curves: list[StabilityCurve]) -> str:
-    """CSV dump of magnitude and stability curves over the interior points
-    of ``grid`` (the difference stencil trims one point per end); with no
-    curves only the ``freq_hz`` column.  Every curve must use ``grid``."""
-    for curve in curves:
-        if curve.grid != grid:
-            raise ValueError(f"curve for node {curve.node!r} uses a different grid")
+def render_curves_csv(curves: Curves) -> str:
+    """CSV dump of each node's magnitude and stability curve over the
+    interior points of the curves' grid, in row order; with no node only
+    the ``freq_hz`` column."""
+    table = np.empty((len(curves.log_freq), 1 + 2 * len(curves.nodes)))
+    table[:, 0] = curves.grid.freqs[1:-1]
+    table[:, 1::2] = curves.magnitude.T
+    table[:, 2::2] = curves.p.T
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["freq_hz"]
-    for curve in curves:
-        header += [f"mag_{curve.node}", f"p_{curve.node}"]
-    writer.writerow(header)
-    for i, freq in enumerate(grid.freqs[1:-1]):
-        row = [repr(float(freq))]
-        for curve in curves:
-            row.append(repr(float(curve.magnitude[i])))
-            row.append(repr(float(curve.p[i])))
-        writer.writerow(row)
+    writer.writerow(["freq_hz", *(f"{column}_{node}" for node in curves.nodes
+                                  for column in ("mag", "p"))])
+    writer.writerows([repr(x) for x in row] for row in table.tolist())
     return buf.getvalue()
 
 

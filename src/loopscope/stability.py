@@ -16,7 +16,8 @@ of the canonical loop wn**2 / (s (s + 2 zeta wn)).
 Implementation notes: the response is sampled on a uniform log grid, so
 P is one central second difference of ln|V| (exact for any quadratic in
 log-log coordinates, which is why pure slopes vanish identically),
-computed for every node of a sweep in one array expression.  An
+computed for every node of a sweep in one array expression, a
+``Curves`` block with a row per node, which ``detect_peaks`` scans.  An
 underdamped pole also carries small positive side lobes (about a tenth
 of the peak depth); a detected extremum that is both opposite in sign
 and much smaller than a close neighbour is discarded as such a lobe
@@ -73,13 +74,16 @@ class Severity(IntEnum):
 
 
 @dataclass
-class StabilityCurve:
-    node: str
-    log_freq: np.ndarray   # ln(omega) at interior grid points, shared by a sweep's curves
-    magnitude: np.ndarray  # the response's |V| at the same points (a view)
+class Curves:
+    """A sweep's stability plot at its grid's interior points: row k of
+    ``magnitude``, ``p`` and ``clamped`` is node ``nodes[k]``."""
+
+    grid: FrequencyGrid
+    nodes: list[str]
+    log_freq: np.ndarray   # ln(omega) at the interior points, shared by every row
+    magnitude: np.ndarray  # the sweep's |V| at the same points (a view)
     p: np.ndarray
     clamped: np.ndarray    # True where the difference stencil touched clamped data
-    grid: FrequencyGrid
 
 
 @dataclass
@@ -114,9 +118,9 @@ class Peak:
                 and PeakFlag.CLAMPED_DATA not in self.flags)
 
 
-def stability_curves(sweep: Sweep) -> list[StabilityCurve]:
+def stability_curves(sweep: Sweep) -> Curves:
     """Central second difference of ln(magnitude) over the log grid, for
-    every node of ``sweep`` at once, one curve per row.
+    every node of ``sweep`` at once, one row per node.
 
     Each row is normalized by its maximum first, which makes the curve
     exactly invariant under power-of-two rescaling of the data and keeps
@@ -131,10 +135,7 @@ def stability_curves(sweep: Sweep) -> list[StabilityCurve]:
     c = sweep.clamped
     clamped = c[:, 2:] | c[:, 1:-1] | c[:, :-2]
     log_freq = np.log(2.0 * math.pi * sweep.grid.freqs[1:-1])
-    return [StabilityCurve(node=node, log_freq=log_freq,
-                           magnitude=sweep.magnitude[k, 1:-1], p=p[k],
-                           clamped=clamped[k], grid=sweep.grid)
-            for k, node in enumerate(sweep.nodes)]
+    return Curves(sweep.grid, sweep.nodes, log_freq, sweep.magnitude[:, 1:-1], p, clamped)
 
 
 def zeta_from_index(p_value: float) -> float:
@@ -171,13 +172,11 @@ def severity_from_zeta(zeta: float) -> Severity:
     return Severity.UNSTABLE_RISK
 
 
-def refine_peak(curve: StabilityCurve, index: int) -> tuple[float, float]:
-    """Sub-grid extremum estimate: vertex of the parabola through the
-    sample and its two neighbours, in (ln w, P) coordinates.  Falls back
-    to the raw sample at the curve ends or for collinear samples."""
-    x = curve.log_freq
-    p = curve.p
-    raw = (math.exp(x[index]) / (2.0 * math.pi), float(p[index]))
+def refine_peak(log_freq: np.ndarray, p: np.ndarray, index: int) -> tuple[float, float]:
+    """Sub-grid extremum estimate on one row: vertex of the parabola
+    through the sample and its two neighbours, in (ln w, P) coordinates.
+    Falls back to the raw sample at the row ends or if they are collinear."""
+    raw = (math.exp(log_freq[index]) / (2.0 * math.pi), float(p[index]))
     if index <= 0 or index >= len(p) - 1:
         return raw
     a, b, c = float(p[index - 1]), float(p[index]), float(p[index + 1])
@@ -185,60 +184,64 @@ def refine_peak(curve: StabilityCurve, index: int) -> tuple[float, float]:
     if curv == 0.0:
         return raw
     delta = 0.5 * (a - c) / curv
-    h = float(x[index + 1] - x[index])
-    x_vertex = float(x[index]) + delta * h
+    h = float(log_freq[index + 1] - log_freq[index])
+    x_vertex = float(log_freq[index]) + delta * h
     p_vertex = b - 0.25 * (a - c) * delta
     return math.exp(x_vertex) / (2.0 * math.pi), p_vertex
 
 
-def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> list[Peak]:
-    """Find pole/zero candidates in a stability curve.
+def detect_peaks(curves: Curves, floor: float = PEAK_FLOOR_DEFAULT) -> list[Peak]:
+    """Find pole/zero candidates in every row of ``curves``, returned in
+    row order, then sample order.
 
     Strict local minima below ``-floor`` become complex-pole candidates
     and strict local maxima above ``+floor`` complex-zero candidates.
-    Curve-end extrema are flagged end-of-range.  A pole and zero whose
-    refined frequencies agree within ``DOUBLET_GAP_DEFAULT`` are flagged
-    as a pole-zero doublet; unflagged extrema that are dwarfed (by
-    ``LOBE_RATIO``) by an opposite extremum within ``LOBE_WINDOW`` of
-    log frequency are dropped as side lobes of that larger feature.
+    Row-end extrema are flagged end-of-range.  A pole and zero of one row
+    whose refined frequencies agree within ``DOUBLET_GAP_DEFAULT`` are
+    flagged as a pole-zero doublet; unflagged extrema that are dwarfed (by
+    ``LOBE_RATIO``) by an opposite one of their row within ``LOBE_WINDOW``
+    of log frequency are dropped as side lobes of that larger feature.
     Peaks sitting on clamped data are flagged and left ungraded.
     """
-    p = curve.p
-    n = len(p)
+    p, clamped = curves.p, curves.clamped
+    n = p.shape[1]
     if n < 2:
         return []
     # Strict extrema against both neighbours; the infinite sentinels let
     # each end sample compete against its one real neighbour only.
-    above = np.concatenate(([np.inf], p, [np.inf]))
-    below = np.concatenate(([-np.inf], p, [-np.inf]))
-    minima = (p < -floor) & (p < above[:-2]) & (p < above[2:])
-    maxima = (p > floor) & (p > below[:-2]) & (p > below[2:])
+    ends = ((0, 0), (1, 1))
+    above = np.pad(p, ends, constant_values=np.inf)
+    below = np.pad(p, ends, constant_values=-np.inf)
+    minima = (p < -floor) & (p < above[:, :-2]) & (p < above[:, 2:])
+    maxima = (p > floor) & (p > below[:, :-2]) & (p > below[:, 2:])
     # Curvature computed from floor-clamped samples is meaningless; such
     # points never become candidates.
-    clamped = np.concatenate(([False], curve.clamped, [False]))
-    near_clamp = clamped[:-2] | clamped[2:]
-    found = []  # (kind, frequency, value, flags), in sample order
-    for i in np.flatnonzero((minima | maxima) & ~curve.clamped).tolist():
+    padded = np.pad(clamped, ends)
+    near_clamp = padded[:, :-2] | padded[:, 2:]
+    found = []  # (row, kind, frequency, value, flags), in row then sample order
+    for k, i in np.argwhere((minima | maxima) & ~clamped).tolist():
         flags = set()
         if i == 0 or i == n - 1:
             flags.add(PeakFlag.END_OF_RANGE)
-        if near_clamp[i]:
+        if near_clamp[k, i]:
             flags.add(PeakFlag.CLAMPED_DATA)
         if flags:
-            freq, value = math.exp(curve.log_freq[i]) / (2.0 * math.pi), float(p[i])
+            freq, value = math.exp(curves.log_freq[i]) / (2.0 * math.pi), float(p[k, i])
         else:
-            freq, value = refine_peak(curve, i)
-        kind = PeakKind.COMPLEX_POLE if minima[i] else PeakKind.COMPLEX_ZERO
-        found.append((kind, freq, value, flags))
+            freq, value = refine_peak(curves.log_freq, p[k], i)
+        kind = PeakKind.COMPLEX_POLE if minima[k, i] else PeakKind.COMPLEX_ZERO
+        found.append((k, kind, freq, value, flags))
 
-    # One pass over the opposite-kind pairs: a close pair is a doublet, a
-    # joint feature kept whole; any other candidate dwarfed by an opposite
-    # one within LOBE_WINDOW is a side lobe of it and dropped.
+    # One pass over each row's opposite-kind pairs: a close pair is a
+    # doublet, a joint feature kept whole; any other candidate dwarfed by
+    # an opposite one within LOBE_WINDOW is a side lobe of it and dropped.
     gap = math.log1p(DOUBLET_GAP_DEFAULT)
     dominated = [False] * len(found)
-    for i, (kind_a, freq_a, value_a, flags_a) in enumerate(found):
-        for j in range(i + 1, len(found)):
-            kind_b, freq_b, value_b, flags_b = found[j]
+    for a, (row, kind_a, freq_a, value_a, flags_a) in enumerate(found):
+        for b in range(a + 1, len(found)):
+            row_b, kind_b, freq_b, value_b, flags_b = found[b]
+            if row_b != row:
+                break
             if kind_a is kind_b:
                 continue
             dist = abs(math.log(freq_a / freq_b))
@@ -246,8 +249,8 @@ def detect_peaks(curve: StabilityCurve, floor: float = PEAK_FLOOR_DEFAULT) -> li
                 flags_a.add(PeakFlag.POLE_ZERO_DOUBLET)
                 flags_b.add(PeakFlag.POLE_ZERO_DOUBLET)
             if dist <= LOBE_WINDOW:
-                dominated[i] |= abs(value_b) >= LOBE_RATIO * abs(value_a)
-                dominated[j] |= abs(value_a) >= LOBE_RATIO * abs(value_b)
-    return [Peak(curve.node, kind, freq, value, frozenset(flags))
-            for (kind, freq, value, flags), lobe in zip(found, dominated)
+                dominated[a] |= abs(value_b) >= LOBE_RATIO * abs(value_a)
+                dominated[b] |= abs(value_a) >= LOBE_RATIO * abs(value_b)
+    return [Peak(curves.nodes[k], kind, freq, value, frozenset(flags))
+            for (k, kind, freq, value, flags), lobe in zip(found, dominated)
             if PeakFlag.POLE_ZERO_DOUBLET in flags or not lobe]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mna import MnaPattern, SingularSystem, solve
+from .mna import MnaError, MnaPattern, SingularSystem, solve
 
 #: Lower clamp applied to |V| before logs; clamped points are flagged and
 #: never become peak candidates.
@@ -99,12 +99,15 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
                     nodes: list[str] | None = None) -> Sweep:
     """Inject at each of ``nodes`` in the given order, or at every
     non-ground node in netlist order (``Netlist.nodes``) when None.
-    Every name is resolved before any solve, so an unknown node raises
+    Names resolve before any solve: an unknown or repeated node raises
     ``MnaError``; results carry the netlist's spelling of each node."""
     if nodes is None:
         nodes = pattern.labels[:pattern.n_nodes]
     C, labels = pattern.C, pattern.labels
     rows = [pattern.row_of_node(name) for name in nodes]
+    if len(set(rows)) < len(rows):
+        repeat = next(name for k, name in enumerate(nodes) if rows[k] in rows[:k])
+        raise MnaError(f"node {repeat!r} requested twice")
     unit = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
     unit[range(len(rows)), rows] = 1.0
     magnitude = np.zeros((len(rows), len(grid)))

@@ -54,8 +54,8 @@ def criterion(num, title):
 def _pipeline(source, node, f_start, f_stop, ppd):
     net = elaborate(parse(source))
     grid = make_grid(f_start, f_stop, ppd)
-    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, [node]))
-    return curve, detect_peaks(curve)
+    curves = stability_curves(sweep_all_nodes(build_pattern(net), grid, [node]))
+    return curves, detect_peaks(curves)
 
 
 def _deepest_pole(peaks):
@@ -204,8 +204,9 @@ def test_criterion_5_properties_and_golden():
 
     def curve_of(m):
         swept = Sweep(grid, ["s"], m[np.newaxis], np.zeros((1, len(m)), dtype=bool), {})
-        (curve,) = stability_curves(swept)
-        return curve.p
+        curves = stability_curves(swept)
+        assert curves.nodes == ["s"]
+        return curves.p
 
     assert np.array_equal(curve_of(mag), curve_of(mag * 2.0**30))
     assert np.max(np.abs(curve_of(mag) - curve_of(mag * 7.3))) <= 1e-9
@@ -279,10 +280,11 @@ def test_criterion_7_end_of_range():
     # and nothing may be severity-graded from it.
     for f_stop in (4000.0, 4600.0):
         net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-        report, (curve,) = audit(net, make_grid(50.0, f_stop, 200), nodes=["out"])
+        report, curves = audit(net, make_grid(50.0, f_stop, 200), nodes=["out"])
+        assert curves.nodes == ["out"]
         poles = [pk for g in report.groups for pk in g.members]
         # Flagged peaks keep their raw sample frequency.
-        ends = [math.exp(x) / (2.0 * math.pi) for x in curve.log_freq[[0, -1]]]
+        ends = [math.exp(x) / (2.0 * math.pi) for x in curves.log_freq[[0, -1]]]
         for pk in poles + report.zeros:
             if pk.natural_freq in ends:
                 assert PeakFlag.END_OF_RANGE in pk.flags

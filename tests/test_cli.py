@@ -13,6 +13,7 @@ import pytest
 from loopscope import cli
 from loopscope.cli import main
 from loopscope.netlist import elaborate, parse
+from loopscope.report import render_curves_csv
 from loopscope.sweep import make_grid
 
 import circuits
@@ -353,6 +354,22 @@ def test_csv_and_json_outputs(tmp_path, capsys):
     doc = json.loads(json_path.read_text())
     assert doc["schema"] == "loopscope-report-1"
     assert "Loop at" in out_path.read_text()
+
+
+def test_library_csv_is_the_cli_csv(tmp_path, capsys):
+    # The library's curves block renders to the very bytes the CLI's
+    # --csv writes, including the op-amp input, which Vin pins: its
+    # response is clamped at every point.
+    netlist = CIRCUITS_DIR / "opamp_buffer.cir"
+    csv_path = tmp_path / "cli.csv"
+    code, _, _ = run_cli(capsys, str(netlist), "--all-nodes", "--fstart", "1k",
+                         "--fstop", "1g", "--csv", str(csv_path))
+    assert code == 0
+    net = elaborate(parse(netlist.read_text(encoding="utf-8")))
+    _, curves = cli.audit(net, make_grid(1e3, 1e9, 100))
+    assert curves.nodes == net.nodes
+    assert curves.clamped[curves.nodes.index("in")].all()
+    assert render_curves_csv(curves).encode("utf-8") == csv_path.read_bytes()
 
 
 def test_filter_limits_nodes(tmp_path, capsys):

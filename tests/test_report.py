@@ -221,57 +221,68 @@ def test_eng_freq_formatting():
     assert format_eng_freq(80.43) == "80.4 Hz"
     assert format_eng_freq(999.9) == "1 kHz"
     assert format_eng_freq(2.5e9) == "2.5 GHz"
+    assert format_eng_freq(999.4e9) == "999 GHz"
+    assert format_eng_freq(999.6e9) == "1 THz"
+    assert format_eng_freq(2e12) == "2 THz"
 
 
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def _curve(node="a", n_points=5):
+def _curve(node="a", n_points=5, nodes=None):
+    """The curves block of a rising magnitude at ``node``, or at each of
+    ``nodes`` (none for an empty list)."""
+    nodes = [node] if nodes is None else nodes
     grid = make_grid(1.0, 10.0 ** ((n_points - 1) / 10.0), 10)
     assert len(grid) == n_points
-    mag = np.linspace(1.0, 2.0, n_points)
-    (curve,) = stability_curves(Sweep(grid, [node], mag[np.newaxis],
-                                      np.zeros((1, n_points), dtype=bool), {}))
-    return curve
+    mag = np.tile(np.linspace(1.0, 2.0, n_points), (len(nodes), 1))
+    curves = stability_curves(Sweep(grid, nodes, mag, np.zeros(mag.shape, dtype=bool), {}))
+    assert curves.nodes == nodes
+    return curves
 
 
 def test_csv_line_count():
     curve = _curve(n_points=5)
-    lines = render_curves_csv(curve.grid, [curve]).strip().splitlines()
+    lines = render_curves_csv(curve).strip().splitlines()
     assert len(lines) == 1 + 3  # header + interior points
     assert lines[0] == "freq_hz,mag_a,p_a"
     # With no curves the grid's interior frequencies are the only column.
-    lines = render_curves_csv(curve.grid, []).strip().splitlines()
+    lines = render_curves_csv(_curve(n_points=5, nodes=[])).strip().splitlines()
     assert lines == ["freq_hz", *(repr(float(f)) for f in curve.grid.freqs[1:-1])]
 
 
 def test_csv_hierarchical_node_name_not_quoted():
     curve = _curve(node="X1.out")
-    text = render_curves_csv(curve.grid, [curve])
+    text = render_curves_csv(curve)
     assert "mag_X1.out" in text.splitlines()[0]
     assert '"' not in text.splitlines()[0]
 
 
 def test_csv_quotes_when_needed():
     curve = _curve(node="we,ird")
-    header = render_curves_csv(curve.grid, [curve]).splitlines()[0]
+    header = render_curves_csv(curve).splitlines()[0]
     assert '"mag_we,ird"' in header
-
-
-def test_csv_mismatched_grids():
-    a, b = _curve(node="a", n_points=5), _curve(node="b", n_points=7)
-    with pytest.raises(ValueError, match="curve for node 'b' uses a different grid"):
-        render_curves_csv(a.grid, [a, b])
 
 
 def test_csv_round_trips_full_precision():
     curve = _curve()
-    lines = render_curves_csv(curve.grid, [curve]).strip().splitlines()
+    lines = render_curves_csv(curve).strip().splitlines()
     first = lines[1].split(",")
     assert float(first[0]) == curve.grid.freqs[1]
-    assert float(first[1]) == curve.magnitude[0] == 1.25  # the response's |V| at point 1
-    assert float(first[2]) == curve.p[0]
+    assert float(first[1]) == curve.magnitude[0, 0] == 1.25  # the response's |V| at point 1
+    assert float(first[2]) == curve.p[0, 0]
+
+
+def test_csv_columns_follow_the_row_order():
+    curves = _curve(nodes=["b", "a"])
+    curves.p[1] += 1.0  # tell the rows apart
+    lines = render_curves_csv(curves).strip().splitlines()
+    assert lines[0] == "freq_hz,mag_b,p_b,mag_a,p_a"
+    for i, line in enumerate(lines[1:]):
+        cells = [float(cell) for cell in line.split(",")]
+        assert cells == [curves.grid.freqs[i + 1], curves.magnitude[0, i], curves.p[0, i],
+                         curves.magnitude[1, i], curves.p[1, i]]
 
 
 # ---------------------------------------------------------------------------

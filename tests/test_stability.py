@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from loopscope.mna import build_pattern
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import (
+    Curves,
     DOUBLET_GAP_DEFAULT,
     LOBE_RATIO,
     LOBE_WINDOW,
@@ -22,7 +23,6 @@ from loopscope.stability import (
     PeakFlag,
     PeakKind,
     Severity,
-    StabilityCurve,
     detect_peaks,
     overshoot_from_zeta,
     phase_margin_from_zeta,
@@ -45,8 +45,10 @@ def synthetic(grid, magnitude, node="syn"):
 
 
 def curve_of(grid, magnitude):
-    (curve,) = stability_curves(synthetic(grid, magnitude))
-    return curve
+    """The one-row curves block of ``magnitude``."""
+    curves = stability_curves(synthetic(grid, magnitude))
+    assert curves.nodes == ["syn"]
+    return curves
 
 
 def second_order_magnitude(freqs, fn, zeta):
@@ -63,7 +65,7 @@ def test_flat_magnitude_gives_zero_curve():
     grid = make_grid(1.0, 1e4, 25)
     curve = curve_of(grid, np.full(len(grid), 123.0))
     assert np.all(curve.p == 0.0)
-    assert len(curve.p) == len(grid) - 2
+    assert curve.p.shape == (1, len(grid) - 2)
 
 
 def test_one_over_omega_gives_zero_curve():
@@ -80,9 +82,10 @@ def test_single_real_pole_minimum():
     grid = make_grid(1.0, 100e3, 100)
     mag = 1.0 / np.sqrt(1.0 + (grid.freqs / fp) ** 2)
     curve = curve_of(grid, mag)
-    i = int(np.argmin(curve.p))
+    (p,) = curve.p
+    i = int(np.argmin(p))
     f_at_min = math.exp(curve.log_freq[i]) / (2 * math.pi)
-    assert curve.p[i] == pytest.approx(-0.5, abs=5e-4)
+    assert p[i] == pytest.approx(-0.5, abs=5e-4)
     assert f_at_min == pytest.approx(fp, rel=0.02)
 
     x = np.linspace(math.log(fp) - 2, math.log(fp) + 2, 20001)
@@ -97,9 +100,9 @@ def test_performance_index_closure_on_synthetic_data(zeta):
     # -1/zeta^2 within discretization error at 200 points/decade.
     fn = 1e3
     grid = make_grid(10.0, 1e5, 200)
-    curve = curve_of(grid, second_order_magnitude(grid.freqs, fn, zeta))
+    (p,) = curve_of(grid, second_order_magnitude(grid.freqs, fn, zeta)).p
     i = int(np.argmin(np.abs(grid.freqs[1:-1] - fn)))
-    assert curve.p[i] == pytest.approx(-1.0 / zeta**2, rel=0.02)
+    assert p[i] == pytest.approx(-1.0 / zeta**2, rel=0.02)
 
 
 def test_pole_zero_duality_negates_curve():
@@ -197,12 +200,12 @@ def test_underdamped_pole_yields_one_pole_and_no_zero():
     # be suppressed, not reported as complex zeros.
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
-    peaks = detect_peaks(curve)
+    curves = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
+    peaks = detect_peaks(curves)
     assert [pk.kind for pk in peaks] == [PeakKind.COMPLEX_POLE]
     assert peaks[0].p_value == pytest.approx(-25.0, rel=0.03)
     # the raw curve really does contain positive lobes above the floor
-    assert curve.p.max() > 0.1
+    assert curves.p.max() > 0.1
 
 
 def test_genuine_doublet_is_flagged_and_kept():
@@ -227,8 +230,8 @@ def test_end_of_range_pole_flagged_and_ungraded():
     fn = 5032.9
     grid = make_grid(50.0, 4600.0, 200)
     net = elaborate(parse(circuits.sensed_rlc_loop(0.2)))
-    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["out"]))
-    peaks = detect_peaks(curve)
+    curves = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["out"]))
+    peaks = detect_peaks(curves)
     poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert poles, "expected a boundary pole candidate"
     for pk in poles:
@@ -244,36 +247,42 @@ def test_clamped_samples_never_become_candidates():
     mag[10] = 0.0  # exact null -> floor clamp
     resp = synthetic(grid, mag)
     assert resp.clamped[0, 10]
-    (curve,) = stability_curves(resp)
-    peaks = detect_peaks(curve)
+    curves = stability_curves(resp)
+    peaks = detect_peaks(curves)
     # The huge fake curvature around the clamped point is ignored.
-    lo, hi = np.exp(curve.log_freq[curve.clamped][[0, -1]]) / (2 * math.pi)
+    lo, hi = np.exp(curves.log_freq[curves.clamped[0]][[0, -1]]) / (2 * math.pi)
     assert not any(lo <= pk.natural_freq <= hi for pk in peaks)
     assert peaks == []
 
 
-def reference_detect_peaks(curve, floor):
+def reference_detect_peaks(curves, floor):
     """The loop-based candidate scan that detect_peaks replaced, with the
-    unchanged doublet and side-lobe passes: the oracle for the masks."""
-    p = curve.p
+    unchanged doublet and side-lobe passes, run on one row at a time: the
+    oracle for the masks."""
+    return [pk for k in range(len(curves.nodes))
+            for pk in _reference_row_peaks(curves, k, floor)]
+
+
+def _reference_row_peaks(curves, k, floor):
+    p, clamped, node = curves.p[k], curves.clamped[k], curves.nodes[k]
     n = len(p)
     if n == 0:
         return []
     found = []
 
     def add(i, kind, end_of_range):
-        if curve.clamped[i]:
+        if clamped[i]:
             return
         flags = set()
         if end_of_range:
             flags.add(PeakFlag.END_OF_RANGE)
-        if (i > 0 and curve.clamped[i - 1]) or (i < n - 1 and curve.clamped[i + 1]):
+        if (i > 0 and clamped[i - 1]) or (i < n - 1 and clamped[i + 1]):
             flags.add(PeakFlag.CLAMPED_DATA)
         if flags:
-            freq, value = math.exp(curve.log_freq[i]) / (2.0 * math.pi), float(p[i])
+            freq, value = math.exp(curves.log_freq[i]) / (2.0 * math.pi), float(p[i])
         else:
-            freq, value = refine_peak(curve, i)
-        found.append((i, Peak(curve.node, kind, freq, value, flags=frozenset(flags))))
+            freq, value = refine_peak(curves.log_freq, p, i)
+        found.append((i, Peak(node, kind, freq, value, flags=frozenset(flags))))
 
     for i in range(1, n - 1):
         if p[i] < -floor and p[i] < p[i - 1] and p[i] < p[i + 1]:
@@ -304,6 +313,14 @@ def reference_detect_peaks(curve, floor):
         index, pk = found[i]
         found[i] = (index, replace(pk, flags=pk.flags | {PeakFlag.POLE_ZERO_DOUBLET}))
 
+    def distance(i, j):
+        # One distance per pair, earlier candidate first, as detect_peaks
+        # takes it: ln(fa/fb) and ln(fb/fa) can differ in the last bit, and
+        # a pair exactly LOBE_WINDOW apart must be judged alike from both
+        # sides.
+        a, b = found[min(i, j)][1], found[max(i, j)][1]
+        return abs(math.log(a.natural_freq / b.natural_freq))
+
     kept = []
     for i, (index, a) in enumerate(found):
         if i in doublet:
@@ -311,7 +328,7 @@ def reference_detect_peaks(curve, floor):
             continue
         dominated = any(
             b.kind is not a.kind
-            and abs(math.log(a.natural_freq / b.natural_freq)) <= LOBE_WINDOW
+            and distance(i, j) <= LOBE_WINDOW
             and abs(b.p_value) >= LOBE_RATIO * abs(a.p_value)
             for j, (_, b) in enumerate(found) if j != i)
         if not dominated:
@@ -338,6 +355,24 @@ def test_detect_peaks_matches_loop_reference(data, floor, log_step):
     assert detect_peaks(curve, floor=floor) == reference_detect_peaks(curve, floor)
 
 
+@given(data=st.data(), floor=st.sampled_from([0.0, 0.1, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_detect_peaks_reads_each_row_alone(data, floor):
+    # A many-row block gives each row's peaks, in row order, exactly as
+    # that row alone gives them: no doublet or side lobe spans two rows.
+    width = data.draw(st.integers(min_value=1, max_value=10), label="width")
+    rows = data.draw(st.lists(st.lists(_P_SAMPLES, min_size=width, max_size=width),
+                              min_size=1, max_size=4), label="rows")
+    clamped = data.draw(st.lists(st.lists(st.sampled_from([False, False, False, True]),
+                                          min_size=width, max_size=width),
+                                 min_size=len(rows), max_size=len(rows)), label="clamped")
+    block = _tiny_curve(rows, clamped)
+    alone = [pk for k, (p, c) in enumerate(zip(rows, clamped))
+             for pk in detect_peaks(_tiny_curve(p, c, node=block.nodes[k]), floor=floor)]
+    assert detect_peaks(block, floor=floor) == alone
+    assert detect_peaks(block, floor=floor) == reference_detect_peaks(block, floor)
+
+
 @pytest.mark.parametrize("p,clamped", [
     ([-5.0], None),
     ([5.0], None),
@@ -358,6 +393,17 @@ def test_detect_peaks_matches_loop_reference(data, floor, log_step):
 def test_detect_peaks_matches_loop_reference_on_edge_cases(p, clamped):
     curve = _tiny_curve(p, clamped)
     assert detect_peaks(curve) == reference_detect_peaks(curve, 0.1)
+
+
+def test_side_lobe_window_edge_is_judged_once_per_pair():
+    # A flagged zero and pole two samples of 0.5 apart sit LOBE_WINDOW
+    # apart up to the last bit, and the zero is exactly LOBE_RATIO times
+    # deeper.  Which side of the window edge the pair falls on is one
+    # decision, the same as the reference's.
+    curve = _tiny_curve([-50.0, -50.0, -50.0, -50.0, -50.0, 36.0, -4.0, -9.0],
+                        [False, False, False, False, False, False, True, False],
+                        log_step=0.5)
+    assert detect_peaks(curve, floor=0.0) == reference_detect_peaks(curve, 0.0)
 
 
 @pytest.mark.parametrize("flags,graded", [
@@ -389,29 +435,32 @@ def test_zero_peak_carries_no_damping_figures():
 # refinement
 # ---------------------------------------------------------------------------
 
-def _tiny_curve(p_values, clamped=None, log_step=0.1):
-    n = len(p_values) + 2
+def _tiny_curve(p_values, clamped=None, log_step=0.1, node="t"):
+    """A curves block with the given P samples: one row from a flat list,
+    a row per node ``t0``, ``t1``, ... from a list of rows."""
+    p = np.atleast_2d(np.asarray(p_values, dtype=float))
+    n = p.shape[1] + 2
     freqs = np.exp(np.linspace(0.0, (n - 1) * log_step, n))
     grid = FrequencyGrid(f_start=freqs[0], f_stop=freqs[-1],
                          points_per_decade=10, freqs=freqs, log_step=log_step)
     if clamped is None:
-        clamped = [False] * len(p_values)
-    return StabilityCurve(node="t", log_freq=np.log(2 * math.pi * freqs[1:-1]),
-                          magnitude=np.ones(len(p_values)),
-                          p=np.asarray(p_values, dtype=float),
-                          clamped=np.asarray(clamped, dtype=bool), grid=grid)
+        clamped = np.zeros(p.shape, dtype=bool)
+    nodes = [node] if np.ndim(p_values) == 1 else [f"t{k}" for k in range(len(p))]
+    return Curves(grid=grid, nodes=nodes, log_freq=np.log(2 * math.pi * freqs[1:-1]),
+                  magnitude=np.ones(p.shape), p=p,
+                  clamped=np.atleast_2d(np.asarray(clamped, dtype=bool)))
 
 
 def test_refine_symmetric_samples():
     curve = _tiny_curve([-9.0, -10.0, -9.0])
-    freq, value = refine_peak(curve, 1)
+    freq, value = refine_peak(curve.log_freq, curve.p[0], 1)
     assert value == pytest.approx(-10.0)
     assert freq == pytest.approx(math.exp(curve.log_freq[1]) / (2 * math.pi), rel=1e-12)
 
 
 def test_refine_collinear_falls_back_to_sample():
     curve = _tiny_curve([-1.0, -2.0, -3.0])
-    freq, value = refine_peak(curve, 1)
+    freq, value = refine_peak(curve.log_freq, curve.p[0], 1)
     assert value == -2.0
     assert freq == pytest.approx(math.exp(curve.log_freq[1]) / (2 * math.pi), rel=1e-12)
 
@@ -419,8 +468,8 @@ def test_refine_collinear_falls_back_to_sample():
 def test_refined_frequency_accuracy_at_100_ppd():
     net = elaborate(parse(circuits.passive_rlc_loop(0.2)))
     grid = make_grid(50.0, 500e3, 100)
-    (curve,) = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
-    peaks = detect_peaks(curve)
+    curves = stability_curves(sweep_all_nodes(build_pattern(net), grid, ["n2"]))
+    peaks = detect_peaks(curves)
     (pole,) = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
     assert pole.natural_freq == pytest.approx(circuits.F_NATURAL, rel=0.005)
 

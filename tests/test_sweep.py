@@ -161,8 +161,10 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
     calls = []
     monkeypatch.setattr(sweep, "solve", lambda *args, **kwargs: calls.append(args))
     pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
-    with pytest.raises(MnaError, match="unknown node 'nope'"):
-        sweep_all_nodes(pattern, make_grid(50.0, 500e3, 10), nodes=["n1", "nope"])
+    for nodes, message in ((["n1", "nope"], "unknown node 'nope'"),
+                           (["n1", "N1"], "node 'N1' requested twice")):
+        with pytest.raises(MnaError, match=f"^{message}$"):
+            sweep_all_nodes(pattern, make_grid(50.0, 500e3, 10), nodes=nodes)
     assert calls == []
 
 
@@ -265,16 +267,18 @@ def test_stability_curves_match_per_row_reference_bitwise(case, monkeypatch):
     if case == "opamp":  # the input, pinned by Vin, is clamped everywhere
         assert swept.clamped[swept.nodes.index("in")].all()
     curves = stability_curves(swept)
-    assert [curve.node for curve in curves] == swept.nodes
+    assert curves.nodes == swept.nodes
+    assert curves.p.shape == curves.clamped.shape == curves.magnitude.shape \
+        == (rows, len(grid) - 2)
     log_freq = np.log(2.0 * math.pi * grid.freqs[1:-1])
-    for curve, magnitude, clamped in zip(curves, swept.magnitude, swept.clamped):
+    assert curves.log_freq.tobytes() == log_freq.tobytes()
+    assert curves.grid is grid
+    for k, (magnitude, clamped) in enumerate(zip(swept.magnitude, swept.clamped)):
         p, stencil, interior = _row_curve(grid, magnitude.copy(), clamped.copy())
-        assert curve.p.tobytes() == p.tobytes(), curve.node
-        assert np.array_equal(curve.clamped, stencil), curve.node
-        assert curve.magnitude.tobytes() == interior.tobytes(), curve.node
-        assert curve.log_freq is curves[0].log_freq
-        assert curve.log_freq.tobytes() == log_freq.tobytes()
-        assert curve.grid is grid
+        node = curves.nodes[k]
+        assert curves.p[k].tobytes() == p.tobytes(), node
+        assert np.array_equal(curves.clamped[k], stencil), node
+        assert curves.magnitude[k].tobytes() == interior.tobytes(), node
 
 
 def test_determinism_bitwise():
@@ -370,8 +374,9 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
     grid = make_grid(1e3, 1e9, 50)
     swept = sweep_all_nodes(build_pattern(net), grid, ["Xamp.eo"])
     assert swept.clamped.all()
-    (curve,) = stability_curves(swept)
-    assert np.all(curve.p == 0.0)
+    curves = stability_curves(swept)
+    assert curves.nodes == ["Xamp.eo"]
+    assert np.all(curves.p == 0.0)
 
 
 def test_singular_circuit_collects_per_node_errors():
