@@ -11,6 +11,12 @@ independent V source as its control; any other name raises ``MnaError``.
 Every stamp is either real or a multiple of jw, so the system matrix
 splits into two real matrices built once per netlist, Y(w) = G + jw*C.
 
+Every element enters G or C as a sum of rank-one stamps
+w (e_p - e_n)(e_q - e_r)^T: a branch element's two incidence stamps,
+then at most one stamp of its own (1/R, C, -L, a gain).  Ground is one
+extra row and column, dropped once every element is in, so no stamp
+tests for it.
+
 A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
 folded into G.
@@ -92,61 +98,47 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
     vsource_rows = {e.name.lower(): branch_map[e.name.lower()]
                     for e in net.elements if e.kind is ElementKind.VSOURCE}
 
-    dim = n_nodes + len(branch_map)
-    G = np.zeros((dim, dim))
-    C = np.zeros((dim, dim))
+    # Ground is one more unknown, index dim, whose row and column are
+    # dropped at the end, so no stamp needs to know about it.
+    dim = gnd = n_nodes + len(branch_map)
+    index = {**node_rows, "0": gnd}
+    G = np.zeros((dim + 1, dim + 1))
+    C = np.zeros((dim + 1, dim + 1))
 
-    def row(node_name: str) -> int:
-        return -1 if node_name == "0" else node_rows[node_name.lower()]
-
-    def put(r: int, c: int, w: float, M: np.ndarray = G):
-        if r >= 0 and c >= 0:
-            M[r, c] += w
-
-    def branch(a: int, b: int, k: int):
-        put(a, k, 1.0); put(b, k, -1.0)
-        put(k, a, 1.0); put(k, b, -1.0)
+    def stamp(M: np.ndarray, p: int, n: int, q: int, r: int, w: float):
+        """M += w (e_p - e_n)(e_q - e_r)^T."""
+        M[p, q] += w
+        M[n, r] += w
+        M[p, r] -= w
+        M[n, q] -= w
 
     for elem in net.elements:
-        a = row(elem.nodes[0])
-        b = row(elem.nodes[1])
+        a, b, *sense = (index[node.lower()] for node in elem.nodes)
         kind = elem.kind
         val = float(elem.value)
+        k = branch_map.get(elem.name.lower())
+        if k is not None:
+            # Branch current I_k leaves a through the element into b, and
+            # row k holds the element's equation, V_a - V_b first.
+            stamp(G, a, b, k, gnd, 1.0)
+            stamp(G, k, gnd, a, b, 1.0)
 
         if kind is ElementKind.RESISTOR:
-            g = 1.0 / val
-            put(a, a, g); put(b, b, g); put(a, b, -g); put(b, a, -g)
+            stamp(G, a, b, a, b, 1.0 / val)
         elif kind is ElementKind.CAPACITOR:
-            put(a, a, val, C); put(b, b, val, C)
-            put(a, b, -val, C); put(b, a, -val, C)
+            stamp(C, a, b, a, b, val)
         elif kind is ElementKind.INDUCTOR:
-            k = branch_map[elem.name.lower()]
-            branch(a, b, k)
-            put(k, k, -val, C)
-        elif kind is ElementKind.VSOURCE:
-            branch(a, b, branch_map[elem.name.lower()])
+            stamp(C, k, gnd, k, gnd, -val)
         elif kind is ElementKind.VCVS:
-            k = branch_map[elem.name.lower()]
-            c = row(elem.nodes[2])
-            d = row(elem.nodes[3])
-            branch(a, b, k)
-            put(k, c, -val); put(k, d, val)
+            stamp(G, k, gnd, *sense, -val)
         elif kind is ElementKind.VCCS:
-            c = row(elem.nodes[2])
-            d = row(elem.nodes[3])
-            put(a, c, val); put(a, d, -val)
-            put(b, c, -val); put(b, d, val)
+            stamp(G, a, b, *sense, val)
         elif kind is ElementKind.CCCS:
-            kc = _control_branch(vsource_rows, elem)
-            put(a, kc, val); put(b, kc, -val)
+            stamp(G, a, b, _control_branch(vsource_rows, elem), gnd, val)
         elif kind is ElementKind.CCVS:
-            k = branch_map[elem.name.lower()]
-            kc = _control_branch(vsource_rows, elem)
-            branch(a, b, k)
-            put(k, kc, -val)
-    if gmin:
-        idx = np.arange(n_nodes)
-        G[idx, idx] += gmin
+            stamp(G, k, gnd, _control_branch(vsource_rows, elem), gnd, -val)
+    G, C = G[:dim, :dim], C[:dim, :dim]
+    G[range(n_nodes), range(n_nodes)] += gmin
     return MnaPattern(n_nodes=n_nodes, dim=dim, node_rows=node_rows,
                       labels=labels, G=G, C=C)
 
@@ -172,12 +164,8 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
 
     try:
         x = np.linalg.solve(Y, b)
-    except np.linalg.LinAlgError:
-        # Name the first unknown whose column of Y depends on the earlier
-        # ones: the column where partial-pivoting LU met its zero pivot.
-        d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
-        dependent = d <= dim * np.finfo(np.float64).eps * d.max()
-        raise SingularSystem(label(int(np.argmax(dependent))), omega) from None
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        x = np.full(dim, np.nan)
     bnorm = abs(b).max() if dim else 0.0
     resid = b - Y @ x
     rnorm = abs(resid).max() if dim else 0.0
@@ -185,12 +173,17 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
         x = x + np.linalg.solve(Y, resid)
         resid = b - Y @ x
         rnorm = abs(resid).max()
-    # A NaN or inf in x poisons every residual row it touches, so the
-    # first non-finite entry names the unknown; for a finite x that
-    # misses the bound, the worst residual row does.
+    # LAPACK returns NaN, not an error, on a subnormal pivot, and in sound
+    # unknowns too, so a non-finite x names the first column of Y that
+    # depends on the earlier ones, else its first non-finite entry.  A
+    # finite x that misses the bound names its worst residual row.
     finite = np.isfinite(x)
     if not finite.all():
-        raise SingularSystem(label(int(finite.argmin())), omega)
+        d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
+        dependent = d <= dim * np.finfo(np.float64).eps * d.max()
+        bad = dependent if dependent.any() else ~finite
+        raise SingularSystem(label(int(bad.argmax())), omega)
     if bnorm and rnorm > _RESIDUAL_RTOL * bnorm:
         raise SingularSystem(label(int(abs(resid).argmax())), omega)
     return x
+

@@ -117,12 +117,18 @@ def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],
 
 
 def format_eng_freq(freq_hz: float) -> str:
-    """Three-significant-digit engineering formatting: 3.16 MHz, 47.9 MHz."""
+    """Three-significant-digit engineering formatting: 3.16 MHz, 47.9 MHz,
+    and past either end of the unit table 1000 THz or 0.000005 Hz."""
     value = float(f"{freq_hz:.3g}")
     for unit, scale in (("THz", 1e12), ("GHz", 1e9), ("MHz", 1e6), ("kHz", 1e3)):
         if value >= scale:
-            return f"{value / scale:.3g} {unit}"
-    return f"{value:.3g} Hz"
+            break
+    else:
+        unit, scale = "Hz", 1.0
+    # Positional digits: "%.3g" would switch to an exponent ("1e+03 THz").
+    digits = np.format_float_positional(value / scale, precision=3, unique=False,
+                                        fractional=False, trim="-")
+    return f"{digits} {unit}"
 
 
 def _flag_suffix(peak: Peak) -> str:

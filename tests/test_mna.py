@@ -101,6 +101,71 @@ def test_controlled_voltage_and_current_source_stamps():
     assert not pattern.C.any()
 
 
+# The control of every F and H card below, and its two incidence entries.
+_V1 = "V1 s 0 AC 0"
+_V1_G = {("s", "I(V1)"): 1.0, ("I(V1)", "s"): 1.0}
+
+
+@pytest.mark.parametrize("cards,labels,g,c", [
+    ("R1 0 b 4", ["b"], {("b", "b"): 0.25}, {}),
+    ("R1 a 0 4", ["a"], {("a", "a"): 0.25}, {}),
+    ("C1 0 b 3", ["b"], {}, {("b", "b"): 3.0}),
+    ("C1 a 0 3", ["a"], {}, {("a", "a"): 3.0}),
+    # Row I(L1) is V_a - V_b - jw 5 I(L1) = 0.
+    ("L1 0 b 5", ["b", "I(L1)"], {("b", "I(L1)"): -1.0, ("I(L1)", "b"): -1.0},
+     {("I(L1)", "I(L1)"): -5.0}),
+    ("L1 a 0 5", ["a", "I(L1)"], {("a", "I(L1)"): 1.0, ("I(L1)", "a"): 1.0},
+     {("I(L1)", "I(L1)"): -5.0}),
+    ("V1 0 b AC 1", ["b", "I(V1)"], {("b", "I(V1)"): -1.0, ("I(V1)", "b"): -1.0}, {}),
+    ("V1 a 0 AC 1", ["a", "I(V1)"], {("a", "I(V1)"): 1.0, ("I(V1)", "a"): 1.0}, {}),
+    ("I1 0 b AC 1", ["b"], {}, {}),
+    ("I1 a 0 AC 1", ["a"], {}, {}),
+    # Row I(E1) is V_a - V_b - 2 (V_c - V_d) = 0.
+    ("E1 0 b c d 2", ["b", "c", "d", "I(E1)"],
+     {("b", "I(E1)"): -1.0, ("I(E1)", "b"): -1.0,
+      ("I(E1)", "c"): -2.0, ("I(E1)", "d"): 2.0}, {}),
+    ("E1 a 0 c d 2", ["a", "c", "d", "I(E1)"],
+     {("a", "I(E1)"): 1.0, ("I(E1)", "a"): 1.0,
+      ("I(E1)", "c"): -2.0, ("I(E1)", "d"): 2.0}, {}),
+    ("E1 a b 0 d 2", ["a", "b", "d", "I(E1)"],
+     {("a", "I(E1)"): 1.0, ("b", "I(E1)"): -1.0, ("I(E1)", "a"): 1.0,
+      ("I(E1)", "b"): -1.0, ("I(E1)", "d"): 2.0}, {}),
+    ("E1 a b c 0 2", ["a", "b", "c", "I(E1)"],
+     {("a", "I(E1)"): 1.0, ("b", "I(E1)"): -1.0, ("I(E1)", "a"): 1.0,
+      ("I(E1)", "b"): -1.0, ("I(E1)", "c"): -2.0}, {}),
+    # A current 3 (V_c - V_d) leaves node a and enters node b.
+    ("G1 0 b c d 3", ["b", "c", "d"], {("b", "c"): -3.0, ("b", "d"): 3.0}, {}),
+    ("G1 a 0 c d 3", ["a", "c", "d"], {("a", "c"): 3.0, ("a", "d"): -3.0}, {}),
+    ("G1 a b 0 d 3", ["a", "b", "d"], {("a", "d"): -3.0, ("b", "d"): 3.0}, {}),
+    ("G1 a b c 0 3", ["a", "b", "c"], {("a", "c"): 3.0, ("b", "c"): -3.0}, {}),
+    # A current 4 I(V1) leaves node a and enters node b.
+    (f"F1 0 b V1 4\n{_V1}", ["b", "s", "I(V1)"], {**_V1_G, ("b", "I(V1)"): -4.0}, {}),
+    (f"F1 a 0 V1 4\n{_V1}", ["a", "s", "I(V1)"], {**_V1_G, ("a", "I(V1)"): 4.0}, {}),
+    # Row I(H1) is V_a - V_b - 50 I(V1) = 0.
+    (f"H1 0 b V1 50\n{_V1}", ["b", "s", "I(H1)", "I(V1)"],
+     {**_V1_G, ("b", "I(H1)"): -1.0, ("I(H1)", "b"): -1.0,
+      ("I(H1)", "I(V1)"): -50.0}, {}),
+    (f"H1 a 0 V1 50\n{_V1}", ["a", "s", "I(H1)", "I(V1)"],
+     {**_V1_G, ("a", "I(H1)"): 1.0, ("I(H1)", "a"): 1.0,
+      ("I(H1)", "I(V1)"): -50.0}, {}),
+], ids=["R-a", "R-b", "C-a", "C-b", "L-a", "L-b", "V-a", "V-b", "I-a", "I-b",
+        "E-a", "E-b", "E-c", "E-d", "G-a", "G-b", "G-c", "G-d",
+        "F-a", "F-b", "H-a", "H-b"])
+def test_every_kind_stamps_exactly_with_ground_on_each_terminal(cards, labels, g, c):
+    # Ids name the grounded terminal; every entry not listed is zero.
+    pattern = build_pattern(_net(f"t\n{cards}\n.end\n"), gmin=0.0)
+    assert pattern.labels == labels
+
+    def matrix(entries):
+        m = np.zeros((len(labels), len(labels)))
+        for (row, col), w in entries.items():
+            m[labels.index(row), labels.index(col)] = w
+        return m
+
+    assert np.array_equal(pattern.G, matrix(g))
+    assert np.array_equal(pattern.C, matrix(c))
+
+
 def test_gmin_folded_into_node_diagonal():
     src = "t\nR1 a b 1k\nL1 b 0 1m\n.end\n"
     bare = build_pattern(_net(src), gmin=0.0)
@@ -202,6 +267,19 @@ def test_floating_node_without_gmin_names_the_node(src, gmin, node, label):
         _inject(pattern, node, 1e3)
     assert err.value.label == label
     assert err.value.omega == 1e3
+
+
+@pytest.mark.parametrize("gmin", [1e-320, 0.0])
+def test_subnormal_pivot_names_the_isolated_node(gmin):
+    # At gmin 1e-320 the pivot of the isolated node f is subnormal, and
+    # LAPACK returns NaN in a, b and f instead of raising; the NaN in a
+    # must not be blamed.  At gmin 0 the pivot is exactly zero.
+    net = _net("t\nR1 a 0 1k\nC1 a 0 1n\nL1 a b 1u\nR2 b 0 10\nI1 f 0 AC 1\n.end\n")
+    pattern = build_pattern(net, gmin=gmin)
+    for node in ("a", "b", "f"):
+        with pytest.raises(SingularSystem) as err:
+            _inject(pattern, node, 2e6 * math.pi)
+        assert err.value.label == "f"
 
 
 def test_floating_node_with_gmin_solves():

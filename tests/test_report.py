@@ -224,6 +224,9 @@ def test_eng_freq_formatting():
     assert format_eng_freq(999.4e9) == "999 GHz"
     assert format_eng_freq(999.6e9) == "1 THz"
     assert format_eng_freq(2e12) == "2 THz"
+    assert format_eng_freq(999.6e12) == "1000 THz"
+    assert format_eng_freq(5e15) == "5000 THz"
+    assert format_eng_freq(5e-6) == "0.000005 Hz"
 
 
 # ---------------------------------------------------------------------------
