@@ -83,7 +83,7 @@ _CONDUCTIVE_KINDS = frozenset({
 })
 
 _SUFFIXES = {
-    "t": 1e12, "g": 1e9, "meg": 1e6, "k": 1e3,
+    "t": 1e12, "g": 1e9, "k": 1e3,
     "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15,
 }
 
@@ -129,7 +129,7 @@ def _is_number(token: str) -> bool:
 
 def _parse_value_or_ref(token: str, line: int) -> float | str:
     """A value token is either a number or a parameter reference."""
-    if token.startswith("{") and token.endswith("}") and len(token) > 2:
+    if token.startswith("{") and token.endswith("}") and _IDENT_RE.match(token[1:-1]):
         return token[1:-1].lower()
     try:
         return parse_value(token)

@@ -69,6 +69,8 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
     if not span <= MAX_GRID_POINTS - 1:  # also rejects an infinite span
         raise BadRange(f"grid would exceed {MAX_GRID_POINTS} points; lower "
                        "points_per_decade or narrow the frequency range")
+    if not math.isfinite(2.0 * math.pi * f_stop):
+        raise BadRange(f"f_stop {f_stop!r} Hz overflows the angular frequency")
     n = int(round(span)) + 1
     if n < 3:  # the stability plot's difference stencil needs three points
         raise BadRange("frequency range too narrow for this grid density")

@@ -58,3 +58,20 @@ def test_netlist_front_end_loads_without_numpy():
         [sys.executable, "-c", LAZY_PROBE, str(CIRCUITS_DIR / "opamp_buffer.cir")],
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_writes_the_cli_csv(tmp_path, monkeypatch, capsys):
+    # The README's library block runs as printed from the repository
+    # root, and its curves render to the very bytes of the CLI's --csv.
+    library = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(README.parent)
+    scope = {}
+    exec(block, scope)
+    assert "Loop at 5.03 kHz" in capsys.readouterr().out
+    csv_path = tmp_path / "cli.csv"
+    code = loopscope.cli.main([str(CIRCUITS_DIR / "rlc_loop.cir"), "--all-nodes",
+                               "--fstart", "50", "--fstop", "500k", "--ppd", "200",
+                               "--csv", str(csv_path)])
+    assert code == 2
+    assert loopscope.render_curves_csv(scope["curves"]).encode("utf-8") == csv_path.read_bytes()

@@ -105,11 +105,14 @@ def test_every_node_singular_is_not_clean(tmp_path, capsys):
     assert "no node analysed: all 2 swept node(s) failed to solve" in err
 
 
-def test_filter_matching_no_node_is_not_clean(capsys):
+def test_filter_matching_no_node_is_not_clean(tmp_path, capsys):
+    csv_path = tmp_path / "c.csv"
     code, out, err = run_cli(capsys, str(CIRCUITS_DIR / "rlc_loop.cir"),
-                             "--all-nodes", "--filter", "zz*")
+                             "--all-nodes", "--filter", "zz*", "--csv", str(csv_path))
     assert code == 1
     assert err == "loopscope: error: no node analysed: no node matches --filter 'zz*'\n"
+    # The requested CSV is still written: the frequency column alone.
+    assert csv_path.read_text().splitlines()[0] == "freq_hz"
 
 
 def test_filter_without_all_nodes_is_a_usage_error(capsys):
@@ -181,10 +184,12 @@ def test_two_point_grid_is_a_one_line_error(capsys, mode, fstop):
      "no node analysed: all 1 swept node(s) failed to solve"),
     ("t\n.param r=1k\nR1 a 0 {r}\n.param r=2k\n.end\n", "a",
      "line 4: .param 'r' already defined on line 2"),
+    ("t\n.param r=1k cl\nR1 a 0 {r}\n.end\n", "a", "line 2: bad .param assignment 'cl'"),
+    ("t\nR1 a 0 {r*2}\nC1 a 0 1n\n.end\n", "a", "line 2: bad value token '{r*2}'"),
     ("t\nV1 a 0 AC 1\nR1 a 0 1k\nL1 a c 1m\nR3 c 0 10\nF1 b 0 L1 2\nR2 b 0 1k\n.end\n",
      "b", "element 'F1' needs an existing V-source as control, got 'L1'"),
 ], ids=["unknown-node", "malformed-netlist", "singular-node", "repeated-param",
-        "inductor-control"])
+        "stray-param", "braced-expression", "inductor-control"])
 def test_unknown_node_exits_1(tmp_path, capsys, source, node, expected):
     path = write(tmp_path, "x.cir", source)
     json_path = tmp_path / "rep.json"

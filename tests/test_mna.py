@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from loopscope import audit, mna
 from loopscope.mna import (
@@ -457,7 +456,10 @@ R5 e 0 1k
 def test_exact_poles_match_audited_loop(name, f_exact, zeta_exact):
     # The natural frequencies of the circuit are the finite generalized
     # eigenvalues s of G x = -s C x; each upper-half-plane one is a pole
-    # pair s = -zeta*wn + j*wn*sqrt(1 - zeta^2).
+    # pair s = -zeta*wn + j*wn*sqrt(1 - zeta^2).  scipy is a test extra,
+    # imported here so that every other test runs with numpy alone.
+    import scipy.linalg
+
     net = _net((CIRCUITS_DIR / name).read_text())
     pattern = build_pattern(net)
     eig = scipy.linalg.eigvals(-pattern.G, pattern.C)

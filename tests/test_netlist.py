@@ -196,9 +196,15 @@ def test_parse_syntax_error_carries_line_number():
     ("V1 a 0 DC 1k9", "1k9"),
     ("V1 a 0 AC foo", "foo"),
     ("I1 a 0 AC 1x 90", "1x"),
-], ids=["R-value", "V-dc", "V-ac", "I-ac"])
+    ("R1 a 0 {r*2}", "{r*2}"),
+    ("R1 a 0 {a+b}", "{a+b}"),
+    (".param x={a+b}", "{a+b}"),
+    ("R1 a 0 {1k}", "{1k}"),
+], ids=["R-value", "V-dc", "V-ac", "I-ac", "braced-product", "braced-sum",
+        "param-braced-sum", "braced-number"])
 def test_parse_bad_value_token_carries_line_number(card, token):
-    with pytest.raises(NetlistError, match=f"line 3: bad value token '{token}'"):
+    # Braces hold one parameter name; an expression is not one.
+    with pytest.raises(NetlistError, match=re.escape(f"line 3: bad value token '{token}'")):
         parse(f"t\nR0 a 0 1k\n{card}\n.end\n")
 
 

@@ -56,8 +56,9 @@ def test_grid_uniform_log_spacing():
 
 @pytest.mark.parametrize("fs,fe,ppd", [(10, 10, 100), (100, 10, 100),
                                        (0, 10, 100), (1, 1000, 9),
-                                       (1e3, 1.2e3, 10)])
+                                       (1e3, 1.2e3, 10), (1e306, 1e308, 10)])
 def test_grid_bad_ranges(fs, fe, ppd):
+    # The last range's top angular frequency 2*pi*fe overflows to inf.
     with pytest.raises(BadRange):
         make_grid(fs, fe, ppd)
 
@@ -291,14 +292,20 @@ def test_determinism_bitwise():
     assert np.array_equal(a.magnitude, b.magnitude)
 
 
-def test_all_nodes_entry_matches_single_node_sweep_bitwise():
-    pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
-    grid = make_grid(50.0, 500e3, 100)
-    single = sweep_all_nodes(pattern, grid, ["n2"])
+@pytest.mark.parametrize("src,node,grid_args", [
+    (circuits.passive_rlc_loop(0.2), "n2", (50.0, 500e3, 100)),
+    (circuits.hierarchical_opamp_buffer(), "Xamp.n2", (1e3, 1e9, 100)),
+], ids=["rlc-n2", "opamp-Xamp.n2"])
+def test_all_nodes_entry_matches_single_node_sweep_bitwise(src, node, grid_args):
+    # --node and --all-nodes read the same curve, stability plot included.
+    pattern = build_pattern(_net(src))
+    grid = make_grid(*grid_args)
+    single = sweep_all_nodes(pattern, grid, [node])
     swept = sweep_all_nodes(pattern, grid)
-    k = swept.nodes.index("n2")
+    k = swept.nodes.index(node)
     assert np.array_equal(single.magnitude[0], swept.magnitude[k])
     assert np.array_equal(single.clamped[0], swept.clamped[k])
+    assert np.array_equal(stability_curves(single).p[0], stability_curves(swept).p[k])
 
 
 def _oracle_response(pattern, node, grid):
