@@ -110,17 +110,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _param_references(net: Netlist) -> set[str]:
-    """Every parameter name a parsed netlist declares or references, at
-    top level and inside subcircuit definitions."""
-    names = set(net.params)
-    values = list(net.params.values())
-    for elements in [net.elements, *(sub.elements for sub in net.subcircuits.values())]:
-        values.extend(elem.value for elem in elements)
-    names.update(v for v in values if isinstance(v, str))
-    return names
-
-
 def audit(net: Netlist, grid: FrequencyGrid, *, nodes: list[str] | None = None,
           floor: float = PEAK_FLOOR_DEFAULT, gap: float = REL_GAP_DEFAULT,
           gmin: float = GMIN_DEFAULT) -> tuple[StabilityReport, Curves]:
@@ -152,9 +141,8 @@ def run(args: argparse.Namespace) -> int:
     try:
         grid = make_grid(args.fstart, args.fstop, args.ppd)
         parsed = parse(source)
-        known = _param_references(parsed)
         for name, value in args.params:
-            if name not in known:
+            if name not in parsed.parameter_names:
                 # A misspelt override would otherwise audit the unmodified design.
                 raise NetlistError(f"--param {name!r} is not a parameter of this netlist")
             parsed.params[name] = value

@@ -34,7 +34,7 @@ written ``{name}`` or as a bare identifier, resolved at elaboration.
 
 Names are case-insensitive.  Node ``0`` is ground; ``gnd`` is accepted
 as an alias.  ``Netlist.nodes`` lists the non-ground nodes in first-seen
-order, each under the spelling it was first seen with.
+order, element cards before instance cards, each spelled as first seen.
 
 Elaboration flattens subcircuit instances using dot-joined paths: node
 ``net5`` inside instance ``X1`` becomes ``X1.net5`` and element ``R1``
@@ -175,13 +175,21 @@ class Netlist:
 
     @property
     def nodes(self) -> list[str]:
-        """Non-ground node names in first-seen order, one per
-        case-insensitive name, spelled as first seen."""
+        """Non-ground node names, one per case-insensitive name, spelled as
+        first seen, in card order over the elements and then the instances."""
         seen: dict[str, str] = {"0": "0"}
         for item in [*self.elements, *self.instances]:
             for node in item.nodes:
                 seen.setdefault(node.lower(), node)
         return list(seen.values())[1:]
+
+    @property
+    def parameter_names(self) -> set[str]:
+        """Every parameter name, lowercased, that this netlist declares or
+        references, at top level and inside subcircuit definitions."""
+        scopes = [self, *self.subcircuits.values()]
+        values = [*self.params.values(), *(e.value for sc in scopes for e in sc.elements)]
+        return set(self.params) | {v for v in values if isinstance(v, str)}
 
     @property
     def is_flat(self) -> bool:
@@ -194,44 +202,50 @@ def _normalize_node(token: str) -> str:
     return "0" if token.lower() in ("0", "gnd") else token
 
 
-class _Lines:
-    """Logical-line iterator: strips comments, merges continuations."""
-
-    def __init__(self, source: str):
-        self.logical: list[tuple[int, str]] = []
-        physical = source.splitlines()
-        if not physical:
-            raise NetlistError("empty netlist source")
-        self.title = physical[0].strip()
-        for lineno, raw in enumerate(physical[1:], start=2):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("*"):
-                continue
-            if stripped.startswith("+"):
-                if not self.logical:
-                    raise NetlistError("continuation with nothing to continue", lineno)
-                prev_no, prev = self.logical[-1]
-                self.logical[-1] = (prev_no, prev + " " + stripped[1:].strip())
-            else:
-                self.logical.append((lineno, stripped))
+def _logical_lines(source: str) -> tuple[str, list[tuple[int, str]]]:
+    """The title and the logical lines, each with its first line number:
+    comments and blank lines dropped, ``+`` continuations merged."""
+    physical = source.splitlines()
+    if not physical:
+        raise NetlistError("empty netlist source")
+    logical: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(physical[1:], start=2):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("*"):
+            continue
+        if stripped.startswith("+"):
+            if not logical:
+                raise NetlistError("continuation with nothing to continue", lineno)
+            prev_no, prev = logical[-1]
+            logical[-1] = (prev_no, prev + " " + stripped[1:].strip())
+        else:
+            logical.append((lineno, stripped))
+    return physical[0].strip(), logical
 
 
 _PARAM_ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(\S+)")
+
+
+def _define(defined: dict[tuple, int], key: tuple, what: str, lineno: int):
+    """Record ``key`` as defined on ``lineno``; a second definition is an error."""
+    if key in defined:
+        raise NetlistError(f"{what} already defined on line {defined[key]}", lineno)
+    defined[key] = lineno
 
 
 def parse(source: str) -> Netlist:
     """Parse netlist text.  The result may still contain subcircuit
     definitions, instances and unresolved parameter references; run
     :func:`elaborate` to obtain a flat circuit."""
-    lines = _Lines(source)
-    net = Netlist(title=lines.title)
-    seen: dict[str, int] = {}
-    subckt: Subcircuit | None = None
-    sub_seen: dict[str, int] = {}
-    subckt_lines: dict[str, int] = {}
-    param_lines: dict[str, int] = {}
+    title, lines = _logical_lines(source)
+    net = Netlist(title=title)
+    # The open scope: the netlist itself, or the .subckt being defined.
+    scope: Netlist | Subcircuit = net
+    # First line of every .param, .subckt and element name.  Elements are
+    # keyed by the id of their scope, so a name may recur in another scope.
+    defined: dict[tuple, int] = {}
 
-    for lineno, text in lines.logical:
+    for lineno, text in lines:
         tokens = text.split()
         word = tokens[0].lower()
 
@@ -242,13 +256,8 @@ def parse(source: str) -> Netlist:
                 body = text[len(".param"):]
                 assignments = _PARAM_ASSIGN_RE.findall(body)
                 for name, val in assignments:
-                    key = name.lower()
-                    if key in param_lines:
-                        raise NetlistError(
-                            f".param {name!r} already defined on line {param_lines[key]}",
-                            lineno)
-                    param_lines[key] = lineno
-                    net.params[key] = _parse_value_or_ref(val, lineno)
+                    _define(defined, (".param", name.lower()), f".param {name!r}", lineno)
+                    net.params[name.lower()] = _parse_value_or_ref(val, lineno)
                 if not assignments:
                     raise NetlistError("empty .param directive", lineno)
                 leftover = _PARAM_ASSIGN_RE.sub(" ", body).split()
@@ -256,56 +265,43 @@ def parse(source: str) -> Netlist:
                     raise NetlistError(f"bad .param assignment {leftover[0]!r}", lineno)
                 continue
             if word == ".subckt":
-                if subckt is not None:
+                if scope is not net:
                     raise NetlistError("nested .subckt definitions are not supported", lineno)
                 if len(tokens) < 3:
                     raise NetlistError(".subckt needs a name and at least one pin", lineno)
-                key = tokens[1].lower()
-                if key in subckt_lines:
-                    raise NetlistError(
-                        f".subckt {tokens[1]!r} already defined on line {subckt_lines[key]}",
-                        lineno)
-                subckt_lines[key] = lineno
+                name, pins = tokens[1], tokens[2:]
+                _define(defined, (".subckt", name.lower()), f".subckt {name!r}", lineno)
                 pins_seen: set[str] = set()
-                for pin in tokens[2:]:
+                for pin in pins:
                     if _normalize_node(pin) == "0":
-                        raise NetlistError(f".subckt {tokens[1]!r} pin {pin!r} is ground", lineno)
+                        raise NetlistError(f".subckt {name!r} pin {pin!r} is ground", lineno)
                     if pin.lower() in pins_seen:
-                        raise NetlistError(f".subckt {tokens[1]!r} repeats pin {pin!r}", lineno)
+                        raise NetlistError(f".subckt {name!r} repeats pin {pin!r}", lineno)
                     pins_seen.add(pin.lower())
-                subckt = Subcircuit(name=tokens[1], pins=tokens[2:])
-                sub_seen = {}
+                scope = Subcircuit(name=name, pins=pins)
                 continue
             if word == ".ends":
-                if subckt is None:
+                if scope is net:
                     raise NetlistError(".ends without .subckt", lineno)
-                net.subcircuits[subckt.name.lower()] = subckt
-                subckt = None
+                net.subcircuits[scope.name.lower()] = scope
+                scope = net
                 continue
             net.warnings.append(f"line {lineno}: ignored directive {tokens[0]!r}")
             continue
 
-        scope_seen = sub_seen if subckt is not None else seen
         name = tokens[0]
-        key = name.lower()
-        if key in scope_seen:
-            raise NetlistError(
-                f"element {name!r} already defined on line {scope_seen[key]}", lineno)
-        scope_seen[key] = lineno
-
-        if key[0] == "x" and "." not in key:
+        _define(defined, (id(scope), name.lower()), f"element {name!r}", lineno)
+        if word[0] == "x" and "." not in word:
             if len(tokens) < 3:
                 raise NetlistError("instance needs nodes and a subcircuit name", lineno)
-            inst = Instance(name=name, nodes=[_normalize_node(t) for t in tokens[1:-1]],
-                            subckt=tokens[-1], line=lineno)
-            (subckt.instances if subckt is not None else net.instances).append(inst)
-            continue
+            scope.instances.append(Instance(
+                name=name, nodes=[_normalize_node(t) for t in tokens[1:-1]],
+                subckt=tokens[-1], line=lineno))
+        else:
+            scope.elements.append(_parse_element(name, tokens, lineno))
 
-        elem = _parse_element(name, tokens, lineno)
-        (subckt.elements if subckt is not None else net.elements).append(elem)
-
-    if subckt is not None:
-        raise NetlistError(f".subckt {subckt.name!r} is missing its .ends")
+    if scope is not net:
+        raise NetlistError(f".subckt {scope.name!r} is missing its .ends")
     return net
 
 

@@ -95,6 +95,20 @@ C1 a 0 {c!r}
 """
 
 
+def cmos_input_stage() -> str:
+    """A 1 TOhm, 1 pF gate input driving a 1 mS transconductor into
+    1 kOhm || 10 pF.  Below ~0.16 Hz, |Z(in)| is ~1e12, so 1 A injected
+    at ``in`` gives a response near 1e11 V."""
+    return """CMOS input stage
+Rin in 0 1T
+Cin in 0 1p
+G1 out 0 in 0 1m
+Rout out 0 1k
+Cout out 0 10p
+.end
+"""
+
+
 def resistive_divider() -> str:
     return """resistive divider
 R1 top mid 1k

@@ -269,6 +269,13 @@ def test_param_referenced_but_not_declared_is_accepted(tmp_path, capsys):
     assert code == 0
     assert "Loop at 159 Hz" in out  # the RC corner 1/(2*pi*1k*1u)
     assert run_cli(capsys, path, *args)[0] == 1  # cx is undefined without it
+    # A name referenced only inside a subcircuit definition is one too.
+    path = write(tmp_path, "sub.cir",
+                 "t\nX1 a rc\n.subckt rc p\nR1 p 0 1k\nC1 p 0 {cx}\n.ends\n.end\n")
+    code, out, _ = run_cli(capsys, path, "--param", "cx=1u", *args)
+    assert code == 0
+    assert "Loop at 159 Hz" in out
+    assert run_cli(capsys, path, *args)[0] == 1
 
 
 def test_floor_takes_spice_suffixes(capsys):

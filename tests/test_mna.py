@@ -364,6 +364,32 @@ def test_refinement_that_misses_names_the_worst_residual_row(monkeypatch):
     assert err.value.label == pattern.labels[int(np.argmax(np.abs(Y[:, 4])))] == "s2"
 
 
+def test_large_response_passes_on_its_normwise_backward_error():
+    # At a few of these points the residual of the ~1e11 V solution misses
+    # 1e-9 ||b|| from rounding alone; scaled by ||Y|| ||x|| it is ~1e-17.
+    pattern = build_pattern(_net(circuits.cmos_input_stage()))
+    b = np.zeros(pattern.dim, dtype=complex)
+    b[pattern.row_of_node("in")] = 1.0
+    for omega in 2 * math.pi * make_grid(1.0, 1e10, 100).freqs[:400]:
+        Y = pattern.G + 1j * omega * pattern.C
+        x = solve(Y, b, labels=pattern.labels, omega=omega)
+        scale = np.abs(Y).sum(axis=1).max() * np.abs(x).max() + 1.0
+        assert np.abs(b - Y @ x).max() <= 1e-9 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_scale_does_not_widen_the_bound(monkeypatch):
+    # ||Y||_inf overflows, and a bound scaled by inf would accept any
+    # residual; the worst row is named instead, with no overflow warning.
+    Y = np.array([[1e308, 1e308], [0.0, 1.0]], dtype=complex)
+    b = np.array([0.0, 1.0], dtype=complex)
+    calls = _count_solves(monkeypatch, lambda call, x: x + np.array([0.0, 1e-6]))
+    with pytest.raises(SingularSystem) as err:
+        solve(Y, b, labels=["a", "b"], omega=5.0)
+    assert len(calls) == 2
+    assert err.value.label == "a"
+
+
 def test_zero_rhs_and_empty_system(monkeypatch):
     pattern, Y, _ = _ladder_system()
     calls = _count_solves(monkeypatch)

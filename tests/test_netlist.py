@@ -172,6 +172,28 @@ def test_parse_gnd_alias():
 def test_parse_duplicate_element():
     with pytest.raises(NetlistError, match="^line 3: element 'r1' already defined on line 2$"):
         parse("t\nR1 a 0 1k\nr1 b 0 2k\n.end\n")
+    # Element names are unique per scope: the top level and each .subckt body.
+    net = parse("t\nR1 a 0 1k\nX1 a s\n.subckt s p\nR1 p 0 2k\n.ends\n.end\n")
+    assert [e.name for e in net.elements] == ["R1"]
+    assert [e.name for e in net.subcircuits["s"].elements] == ["R1"]
+    net = parse("t\nX1 a s\nX2 a u\n.subckt s p\nX3 p w\nR1 p 0 1k\n.ends\n"
+                ".subckt u q\nx3 q w\nR1 q 0 2k\n.ends\n.end\n")
+    assert [[(e.name, e.value) for e in net.subcircuits[k].elements] for k in "su"] == [
+        [("R1", 1e3)], [("R1", 2e3)]]
+    assert [net.subcircuits[k].instances[0].name for k in "su"] == ["X3", "x3"]
+    with pytest.raises(NetlistError, match="^line 7: element 'r1' already defined on line 2$"):
+        parse("t\nR1 a 0 1k\nX1 a s\n.subckt s p\nR1 p 0 2k\n.ends\nr1 b 0 3k\n.end\n")
+    with pytest.raises(NetlistError, match="^line 6: element 'x2' already defined on line 4$"):
+        parse("t\nX1 a s\n.subckt s p\nX2 p u\nR1 p 0 1k\nx2 p u\n.ends\n.end\n")
+    with pytest.raises(NetlistError, match="^line 5: element 'R1' already defined on line 4$"):
+        parse("t\nX1 a s\n.subckt s p\nR1 p 0 1k\nR1 p 0 2k\n.ends\n.end\n")
+
+
+def test_parameter_names_lists_declared_and_referenced_names():
+    src = ("t\n.param only=1 chain=Inner\nR1 a 0 rtop\nC1 a 0 {CapX}\nX1 a s\n"
+           ".subckt s p\nR2 p 0 subonly\n.ends\n.end\n")
+    assert parse(src).parameter_names == {"only", "chain", "inner", "rtop", "capx",
+                                          "subonly"}
 
 
 def test_parse_duplicate_subcircuit_names_first_definition():

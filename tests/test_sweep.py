@@ -386,6 +386,15 @@ def test_ideal_source_driven_node_clamps_instead_of_noise():
     assert np.all(curves.p == 0.0)
 
 
+def test_high_impedance_node_is_not_excluded_by_rounding():
+    # Injection at the 1 TOhm input gives ~1e11 V; its residual is tiny
+    # against ||Y|| ||x||, so the node is analysed, not called singular.
+    net = _net(circuits.cmos_input_stage())
+    swept = sweep_all_nodes(build_pattern(net), make_grid(1.0, 1e10, 100))
+    assert swept.nodes == ["in", "out"]
+    assert swept.errors == {}
+
+
 def test_singular_circuit_collects_per_node_errors():
     # Two ideal shorts in parallel make the branch equations dependent;
     # every node solve fails but the audit itself survives, and a failure
