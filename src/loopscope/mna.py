@@ -22,13 +22,9 @@ floating nodes solvable, matching common simulator practice; it is
 folded into G.
 
 Each frequency point of a node's sweep is one dense complex solve with
-numpy.linalg (LU with partial pivoting): one LAPACK call when the
-residual meets ||Yx - b|| <= 1e-9 ||b|| and the solution is finite.
-Only otherwise is the solve refined once.  A finite refined solution
-also passes when its normwise backward error is at most 1e-9 (see
-``solve``), so a node with a large response is not lost to rounding
-alone; else ``SingularSystem`` names the singular unknown or the worst
-residual row.  The residual check uses ndarray methods
+numpy.linalg (LU with partial pivoting), usually one LAPACK call;
+``solve`` states when a solution is accepted.  The residual check uses
+ndarray methods
 (``abs(r).max()``), not the slower ``np.max``/``np.all`` wrappers, since
 it runs at every point.
 """
@@ -111,6 +107,9 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
     G = np.zeros((dim + 1, dim + 1))
     C = np.zeros((dim + 1, dim + 1))
 
+    # Overflow (1/R of a subnormal R, or a sum of huge gains) leaves an inf
+    # or NaN, refused per element below rather than warned about here.
+    @np.errstate(over="ignore", invalid="ignore")
     def stamp(M: np.ndarray, p: int, n: int, q: int, r: int, w: float):
         """M += w (e_p - e_n)(e_q - e_r)^T."""
         M[p, q] += w
@@ -143,6 +142,10 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
             stamp(G, a, b, _control_branch(vsource_rows, elem), gnd, val)
         elif kind is ElementKind.CCVS:
             stamp(G, k, gnd, _control_branch(vsource_rows, elem), gnd, -val)
+        # The stamps wrote rows a, b and k only, and an inf or NaN stays.
+        rows = [i for i in (a, b, k) if i is not None and i != gnd]
+        if not (np.isfinite(G[rows, :dim]).all() and np.isfinite(C[rows, :dim]).all()):
+            raise MnaError(f"element {elem.name!r} makes the MNA matrices non-finite")
     G, C = G[:dim, :dim], C[:dim, :dim]
     G[range(n_nodes), range(n_nodes)] += gmin
     return MnaPattern(n_nodes=n_nodes, dim=dim, node_rows=node_rows,
@@ -159,13 +162,17 @@ def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
 
 def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
           omega: float | None = None) -> np.ndarray:
-    """Dense LU solve with partial pivoting and a residual guarantee of
-    ||Yx - b||_inf <= 1e-9 ||b||_inf (one refinement step if needed).  A
-    refined x that misses it is still accepted when finite and
-    ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf + ||b||_inf), a normwise
-    backward error of at most 1e-9.  Otherwise raises ``SingularSystem``,
-    naming the unknown of a dependent column of Y, the first non-finite
-    entry of x, or else the worst residual row."""
+    """Dense LU solve with partial pivoting.
+
+    The acceptance rule: x is accepted only when it is finite and its
+    residual meets ||Yx - b||_inf <= 1e-9 ||b||_inf, else, after one
+    refinement step, ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf +
+    ||b||_inf), a normwise backward error of at most 1e-9, so a large
+    response is not refused for rounding alone.  A non-finite x, residual
+    or bound is refused (``build_pattern`` already refuses a non-finite G
+    or C).  A refusal raises ``SingularSystem``, naming the unknown of a
+    dependent column of Y, the first non-finite entry of x, or else the
+    worst residual row."""
     dim = Y.shape[0]
     if Y.shape != (dim, dim) or b.shape != (dim,):
         raise MnaError("shape mismatch between Y and b")
@@ -194,7 +201,7 @@ def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
         dependent = d <= dim * np.finfo(np.float64).eps * d.max()
         bad = dependent if dependent.any() else ~finite
         raise SingularSystem(label(int(bad.argmax())), omega)
-    if bnorm and rnorm > _RESIDUAL_RTOL * bnorm:
+    if not rnorm <= _RESIDUAL_RTOL * bnorm:  # a NaN residual fails too
         # Rounding in Y @ x grows with |Y||x|, so a large finite x is still
         # accepted when its normwise backward error (Rigal & Gaches 1967)
         # meets the bound.  A non-finite scale refuses it.

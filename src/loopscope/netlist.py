@@ -313,21 +313,16 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
     except ValueError:
         raise NetlistError(f"unknown element prefix {letter!r} in {name!r}", lineno) from None
 
-    if kind in (ElementKind.VCVS, ElementKind.VCCS):
-        if len(tokens) != 6:
-            raise NetlistError(
-                f"{kind.value}-element needs 4 nodes and a gain", lineno)
-        nodes = [_normalize_node(t) for t in tokens[1:5]]
-        value = _parse_value_or_ref(tokens[5], lineno)
-        return Element(name, kind, nodes, value)
-
-    if kind in (ElementKind.CCCS, ElementKind.CCVS):
-        if len(tokens) != 5:
-            raise NetlistError(
-                f"{kind.value}-element needs 2 nodes, a controlling V source and a gain", lineno)
-        nodes = [_normalize_node(t) for t in tokens[1:3]]
-        value = _parse_value_or_ref(tokens[4], lineno)
-        return Element(name, kind, nodes, value, control_element=tokens[3])
+    # E/G sense a node pair, F/H the current of a named V source.
+    senses_current = kind in (ElementKind.CCCS, ElementKind.CCVS)
+    if senses_current or kind in (ElementKind.VCVS, ElementKind.VCCS):
+        n = 2 if senses_current else 4
+        if len(tokens) != n + 2 + senses_current:
+            control = ", a controlling V source" if senses_current else ""
+            raise NetlistError(f"{kind.value}-element needs {n} nodes{control} and a gain", lineno)
+        return Element(name, kind, [_normalize_node(t) for t in tokens[1:n + 1]],
+                       _parse_value_or_ref(tokens[-1], lineno),
+                       control_element=tokens[n + 1] if senses_current else None)
 
     if len(tokens) < 3:
         raise NetlistError("element needs two nodes", lineno)
@@ -381,63 +376,49 @@ def _parse_element(name: str, tokens: list[str], lineno: int) -> Element:
 
 
 def _resolve_params(params: dict[str, float | str]) -> dict[str, float]:
-    resolved: dict[str, float] = {k: v for k, v in params.items() if isinstance(v, float)}
-    pending = {k: v for k, v in params.items() if isinstance(v, str)}
-    while pending:
-        progressed = False
-        for key in list(pending):
-            ref = pending[key]
-            if ref in resolved:
-                resolved[key] = resolved[ref]
-                del pending[key]
-                progressed = True
-        if not progressed:
-            names = ", ".join(sorted(pending))
-            raise NetlistError(f"cannot resolve parameter(s): {names}")
+    """Each parameter's number.  A reference chain has fewer than
+    ``len(params)`` links, so that many rounds settle every chain that
+    ends in a number; any name left over is undefined or cyclic."""
+    resolved = {k: v for k, v in params.items() if isinstance(v, float)}
+    for _ in params:
+        resolved.update({k: resolved[v] for k, v in params.items()
+                         if k not in resolved and v in resolved})
+    if len(resolved) < len(params):
+        names = ", ".join(sorted(params.keys() - resolved.keys()))
+        raise NetlistError(f"cannot resolve parameter(s): {names}")
     return resolved
-
-
-def _resolve_value(elem: Element, params: dict[str, float]) -> float:
-    if isinstance(elem.value, float):
-        return elem.value
-    try:
-        return params[elem.value]
-    except KeyError:
-        raise NetlistError(
-            f"element {elem.name!r} references undefined parameter {elem.value!r}") from None
 
 
 def elaborate(net: Netlist) -> Netlist:
     """Flatten subcircuit instances and substitute parameters.
-    Idempotent on already-flat netlists."""
+    Idempotent on already-flat netlists.  Errors come in a fixed order:
+    parameter resolution, then a depth-first walk taking each scope's
+    elements before its instances, then flattened-name collisions."""
     params = _resolve_params(net.params)
-    flat_elements: list[Element] = []
+    flat = Netlist(title=net.title, warnings=list(net.warnings))
 
-    def expand_scope(elements: list[Element], instances: list[Instance],
-                     prefix: str, pin_map: dict[str, str], stack: tuple[str, ...]):
-        def map_node(node: str) -> str:
-            if node == "0":
-                return "0"
-            mapped = pin_map.get(node.lower())
-            if mapped is not None:
-                return mapped
-            return prefix + node
+    def walk(scope: Netlist | Subcircuit, prefix: str, pins: dict[str, str],
+             stack: tuple[str, ...]):
+        def node(name: str) -> str:
+            return name if name == "0" else pins.get(name.lower(), prefix + name)
 
-        for elem in elements:
-            value = _resolve_value(elem, params)
+        for elem in scope.elements:
+            value = elem.value
+            if isinstance(value, str):
+                if value not in params:
+                    raise NetlistError(f"element {prefix + elem.name!r} references "
+                                       f"undefined parameter {value!r}")
+                value = params[value]
             if elem.kind in (ElementKind.RESISTOR, ElementKind.CAPACITOR,
                              ElementKind.INDUCTOR) and value <= 0:
                 raise NetlistError(
                     f"element {prefix + elem.name!r} value must be strictly positive")
             ctrl = elem.control_element
-            flat_elements.append(Element(
-                name=prefix + elem.name,
-                kind=elem.kind,
-                nodes=[map_node(n) for n in elem.nodes],
-                value=value,
-                control_element=prefix + ctrl if ctrl else None,
-            ))
-        for inst in instances:
+            flat.elements.append(Element(
+                name=prefix + elem.name, kind=elem.kind,
+                nodes=[node(n) for n in elem.nodes], value=value,
+                control_element=prefix + ctrl if ctrl else None))
+        for inst in scope.instances:
             key = inst.subckt.lower()
             if key not in net.subcircuits:
                 raise NetlistError(f"instance {prefix + inst.name!r} references "
@@ -451,22 +432,20 @@ def elaborate(net: Netlist) -> Netlist:
                 raise NetlistError(
                     f"instance {prefix + inst.name!r} has {len(inst.nodes)} nodes, "
                     f"subcircuit {sub.name!r} has {len(sub.pins)} pins", inst.line)
-            inner_pins = {pin.lower(): map_node(n)
-                          for pin, n in zip(sub.pins, inst.nodes)}
-            expand_scope(sub.elements, sub.instances,
-                         prefix + inst.name + ".", inner_pins, stack + (key,))
+            walk(sub, prefix + inst.name + ".",
+                 {pin.lower(): node(n) for pin, n in zip(sub.pins, inst.nodes)},
+                 stack + (key,))
 
-    expand_scope(net.elements, net.instances, "", {}, ())
+    walk(net, "", {}, ())
 
     seen: set[str] = set()
-    for elem in flat_elements:
+    for elem in flat.elements:
         key = elem.name.lower()
         if key in seen:
             raise NetlistError(
                 f"flattened element name {elem.name!r} collides with an existing element")
         seen.add(key)
 
-    flat = Netlist(title=net.title, elements=flat_elements, warnings=list(net.warnings))
     flat.warnings.extend(_floating_node_warnings(flat))
     return flat
 

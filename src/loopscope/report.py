@@ -83,7 +83,8 @@ class StabilityReport:
 def group_loops(peaks: list[Peak], rel_gap: float = REL_GAP_DEFAULT) -> list[LoopGroup]:
     """Single-linkage clustering of pole peaks on ln(natural frequency):
     sort by frequency and cut wherever consecutive peaks are more than
-    ``1 + rel_gap`` apart.  Input order never affects the result."""
+    ``1 + rel_gap`` apart, so the loops come out in increasing frequency.
+    Input order never affects the result."""
     for pk in peaks:
         if pk.kind is not PeakKind.COMPLEX_POLE:
             raise ValueError(f"group_loops takes pole peaks only, got {pk.kind}")
@@ -96,9 +97,7 @@ def group_loops(peaks: list[Peak], rel_gap: float = REL_GAP_DEFAULT) -> list[Loo
         if math.log(here.natural_freq / prev.natural_freq) > cut:
             clusters.append([])
         clusters[-1].append(here)
-    groups = [LoopGroup(cluster) for cluster in clusters]
-    groups.sort(key=lambda g: g.label_freq)
-    return groups
+    return [LoopGroup(cluster) for cluster in clusters]
 
 
 def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],

@@ -129,6 +129,23 @@ def test_netlist_without_nodes_is_not_clean(tmp_path, capsys):
     assert "no node analysed: the netlist has no non-ground node" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("src,name", [
+    ("R1 a 0 1e-320\nC1 a 0 1n", "R1"),                        # 1/R overflows
+    ("R1 a 0 1k\nG1 a 0 a 0 1e308\nG2 a 0 a 0 1e308", "G2"),  # the sum overflows
+])
+def test_non_finite_matrices_are_not_clean(tmp_path, capsys, src, name):
+    # Both once printed "No oscillatory loops detected" and exited 0: x
+    # came back finite while the residual was NaN.  build_pattern now
+    # names the element, with no numpy warning on the way.
+    path = write(tmp_path, "huge.cir", f"t\n{src}\n.end\n")
+    code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1k",
+                             "--fstop", "1meg", "--ppd", "10")
+    assert code == 1
+    assert out == ""
+    assert err == f"loopscope: error: element {name!r} makes the MNA matrices non-finite\n"
+
+
 @pytest.mark.parametrize("option,value,bound", [
     ("--floor", "nan", "> 0"), ("--floor", "-1", "> 0"), ("--floor", "inf", "> 0"),
     ("--gap", "-2", "> 0"), ("--gap", "0", "> 0"), ("--gap", "x", "> 0"),

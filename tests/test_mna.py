@@ -390,6 +390,24 @@ def test_overflowing_scale_does_not_widen_the_bound(monkeypatch):
     assert err.value.label == "a"
 
 
+def test_nan_residual_is_refused():
+    # LU of this Y returns a finite x = [0, 0], but inf * 0 makes the
+    # residual NaN, which no comparison with the bound accepts.
+    Y = np.array([[math.inf, 1.0], [1.0, 1.0]], dtype=complex)
+    b = np.array([1.0, 0.0], dtype=complex)
+    with np.errstate(invalid="ignore"), pytest.raises(SingularSystem) as err:
+        solve(Y, b, labels=["a", "b"])
+    assert err.value.label == "a"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_in_the_dropped_ground_row_is_not_refused():
+    # Ground's own entry sums both 1e308 S conductances to inf, but it is
+    # dropped, and G itself stays finite.
+    pattern = build_pattern(_net("t\nR1 a 0 1e-308\nR2 b 0 1e-308\nR3 a b 1k\n.end\n"))
+    assert np.isfinite(pattern.G).all()
+
+
 def test_zero_rhs_and_empty_system(monkeypatch):
     pattern, Y, _ = _ladder_system()
     calls = _count_solves(monkeypatch)

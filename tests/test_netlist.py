@@ -3,6 +3,9 @@
 import re
 
 import pytest
+
+import circuits
+from circuits import CIRCUITS_DIR
 from hypothesis import given, strategies as st
 
 from loopscope.netlist import (
@@ -340,6 +343,13 @@ def test_elaborate_unresolved_param():
         elaborate(parse("t\nR1 a 0 {nope}\n.end\n"))
 
 
+def test_elaborate_unresolved_param_names_the_flattened_element():
+    src = "t\nX1 a blk\nR1 a 0 1k\n.subckt blk p\nR1 p 0 {nope}\n.ends\n.end\n"
+    with pytest.raises(NetlistError,
+                       match=r"^element 'X1\.R1' references undefined parameter 'nope'$"):
+        elaborate(parse(src))
+
+
 def test_elaborate_cyclic_params():
     with pytest.raises(NetlistError, match=r"^cannot resolve parameter\(s\): a, b$"):
         elaborate(parse("t\n.param a={b} b={a}\nR1 x 0 {a}\n.end\n"))
@@ -434,3 +444,78 @@ def test_flattened_element_names_reparse_to_same_kind():
     assert element(back, "X1.R2").kind is ElementKind.RESISTOR
     assert element(back, "Xa.Xb.L1").kind is ElementKind.INDUCTOR
     assert not back.instances
+
+
+# ---------------------------------------------------------------------------
+# elaborate: which error comes first
+# ---------------------------------------------------------------------------
+
+def test_elaborate_resolves_parameters_before_walking():
+    # Every scope below is broken too, but the cyclic pair is reported.
+    src = """t
+.param a={b} b={a}
+X1 n nothere
+R1 n 0 {nope}
+.end
+"""
+    with pytest.raises(NetlistError, match=r"^cannot resolve parameter\(s\): a, b$"):
+        elaborate(parse(src))
+
+
+def test_elaborate_walks_elements_before_instances_whatever_the_card_order():
+    # The instance has the wrong pin count and comes first, yet the
+    # element's undefined parameter is reported.
+    src = """t
+X1 a b blk
+R1 a 0 {nope}
+.subckt blk p
+R2 p 0 1k
+.ends
+.end
+"""
+    with pytest.raises(NetlistError, match="^element 'R1' references undefined parameter 'nope'$"):
+        elaborate(parse(src))
+
+
+def test_elaborate_reports_name_collisions_after_the_whole_walk():
+    # X1 expands to a name that collides with X1.R1, but the later X2's
+    # undefined subcircuit is reported first.
+    src = """t
+X1.R1 a 0 1k
+X1 a blk
+X2 a nothere
+.subckt blk p
+R1 p 0 2k
+.ends
+.end
+"""
+    with pytest.raises(NetlistError,
+                       match="^instance 'X2' references undefined subcircuit 'nothere'$"):
+        elaborate(parse(src))
+
+
+# ---------------------------------------------------------------------------
+# elaborate: a flat netlist re-parses to the same circuit
+# ---------------------------------------------------------------------------
+
+def _as_cards(net):
+    """Write a flat netlist's elements back as element cards."""
+    lines = [net.title]
+    for e in net.elements:
+        control = [e.control_element] if e.control_element else []
+        lines.append(" ".join([e.name, *e.nodes, *control, repr(e.value)]))
+    return "\n".join([*lines, ".end", ""])
+
+
+@pytest.mark.parametrize("source", [
+    *(path.read_text(encoding="utf-8") for path in sorted(CIRCUITS_DIR.glob("*.cir"))),
+    circuits.passive_rlc_loop(0.2), circuits.sensed_rlc_loop(0.2), circuits.parallel_rc(),
+    circuits.cmos_input_stage(), circuits.resistive_divider(),
+    circuits.double_real_pole()[0], circuits.lc_trap(), circuits.two_block(),
+    circuits.hierarchical_opamp_buffer(), circuits.ladder(3),
+])
+def test_flat_netlist_reparses_to_the_same_circuit(source):
+    flat = elaborate(parse(source))
+    again = elaborate(parse(_as_cards(flat)))
+    assert again.elements == flat.elements
+    assert again.nodes == flat.nodes
