@@ -19,14 +19,13 @@ tests for it.
 
 A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
-folded into G.
+folded into G, and a gmin that overflows G is refused.
 
 Each frequency point of a node's sweep is one dense complex solve with
-numpy.linalg (LU with partial pivoting), usually one LAPACK call;
-``solve`` states when a solution is accepted.  The residual check uses
-ndarray methods
-(``abs(r).max()``), not the slower ``np.max``/``np.all`` wrappers, since
-it runs at every point.
+numpy.linalg (LU with partial pivoting), one LAPACK call per accepted
+point; ``solve`` states the one rule by which it is accepted.  The
+residual check uses ndarray methods (``abs(r).max()``), not the slower
+``np.max``/``np.all`` wrappers, since it runs at every point.
 """
 
 from __future__ import annotations
@@ -147,7 +146,10 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
         if not (np.isfinite(G[rows, :dim]).all() and np.isfinite(C[rows, :dim]).all()):
             raise MnaError(f"element {elem.name!r} makes the MNA matrices non-finite")
     G, C = G[:dim, :dim], C[:dim, :dim]
-    G[range(n_nodes), range(n_nodes)] += gmin
+    with np.errstate(over="ignore"):
+        G[range(n_nodes), range(n_nodes)] += gmin
+    if not np.isfinite(G.diagonal()).all():
+        raise MnaError(f"gmin {gmin!r} makes the MNA matrices non-finite")
     return MnaPattern(n_nodes=n_nodes, dim=dim, node_rows=node_rows,
                       labels=labels, G=G, C=C)
 
@@ -162,52 +164,38 @@ def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
 
 def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
           omega: float | None = None) -> np.ndarray:
-    """Dense LU solve with partial pivoting.
-
-    The acceptance rule: x is accepted only when it is finite and its
-    residual meets ||Yx - b||_inf <= 1e-9 ||b||_inf, else, after one
-    refinement step, ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf +
-    ||b||_inf), a normwise backward error of at most 1e-9, so a large
-    response is not refused for rounding alone.  A non-finite x, residual
-    or bound is refused (``build_pattern`` already refuses a non-finite G
-    or C).  A refusal raises ``SingularSystem``, naming the unknown of a
-    dependent column of Y, the first non-finite entry of x, or else the
-    worst residual row."""
-    dim = Y.shape[0]
-    if Y.shape != (dim, dim) or b.shape != (dim,):
-        raise MnaError("shape mismatch between Y and b")
-
+    """Dense LU solve with partial pivoting, judged by one rule: the
+    first LU solution x is accepted iff it is finite and its normwise
+    backward error (Rigal & Gaches 1967) is at most 1e-9,
+    ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf + ||b||_inf), so a large
+    response is not refused for rounding alone.  ||Y|| is formed only
+    when 1e-9 ||b||_inf alone misses, and a non-finite bound refuses.  A
+    refusal raises ``SingularSystem``, naming the unknown of a dependent
+    column of Y, else the first non-finite entry of x, or, for a finite
+    x, the worst residual row."""
     def label(i: int) -> str:
         return labels[i] if labels and i < len(labels) else f"unknown #{i}"
 
     try:
         x = np.linalg.solve(Y, b)
     except np.linalg.LinAlgError:  # an exactly zero pivot
-        x = np.full(dim, np.nan)
-    bnorm = abs(b).max() if dim else 0.0
-    resid = b - Y @ x
-    rnorm = abs(resid).max() if dim else 0.0
-    if bnorm and rnorm > _RESIDUAL_RTOL * bnorm:
-        x = x + np.linalg.solve(Y, resid)
-        resid = b - Y @ x
-        rnorm = abs(resid).max()
+        x = np.full(len(b), np.nan)
     # LAPACK returns NaN, not an error, on a subnormal pivot, and in sound
     # unknowns too, so a non-finite x names the first column of Y that
-    # depends on the earlier ones, else its first non-finite entry.  A
-    # finite x that misses the bound names its worst residual row.
+    # depends on the earlier ones, else its first non-finite entry.  It
+    # is judged before any residual is formed.
     finite = np.isfinite(x)
     if not finite.all():
         d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
-        dependent = d <= dim * np.finfo(np.float64).eps * d.max()
+        dependent = d <= len(b) * np.finfo(np.float64).eps * d.max()
         bad = dependent if dependent.any() else ~finite
         raise SingularSystem(label(int(bad.argmax())), omega)
-    if not rnorm <= _RESIDUAL_RTOL * bnorm:  # a NaN residual fails too
-        # Rounding in Y @ x grows with |Y||x|, so a large finite x is still
-        # accepted when its normwise backward error (Rigal & Gaches 1967)
-        # meets the bound.  A non-finite scale refuses it.
+    resid = b - Y @ x
+    rnorm = abs(resid).max(initial=0.0)
+    bnorm = abs(b).max(initial=0.0)
+    if not rnorm <= _RESIDUAL_RTOL * bnorm:  # a NaN residual misses too
         with np.errstate(over="ignore", invalid="ignore"):
             scale = abs(Y).sum(axis=1).max() * abs(x).max() + bnorm
         if not (np.isfinite(scale) and rnorm <= _RESIDUAL_RTOL * scale):
             raise SingularSystem(label(int(abs(resid).argmax())), omega)
     return x
-

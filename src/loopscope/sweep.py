@@ -102,7 +102,8 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     """Inject at each of ``nodes`` in the given order, or at every
     non-ground node in netlist order (``Netlist.nodes``) when None.
     Names resolve before any solve: an unknown or repeated node raises
-    ``MnaError``; results carry the netlist's spelling of each node."""
+    ``MnaError``, and so does a w*C that overflows on the grid; results
+    carry the netlist's spelling of each node."""
     if nodes is None:
         nodes = pattern.labels[:pattern.n_nodes]
     C, labels = pattern.C, pattern.labels
@@ -115,6 +116,13 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     magnitude = np.zeros((len(rows), len(grid)))
     clamped = np.zeros(magnitude.shape, dtype=bool)
     failed: dict[int, str] = {}  # index into rows -> first SingularSystem
+    omegas = 2.0 * math.pi * grid.freqs
+    with np.errstate(over="ignore"):
+        wc_max = omegas * abs(C).max(initial=0.0)
+    if np.isinf(wc_max[-1]):  # w ascends, so w*C overflows here if anywhere
+        i = int(np.isinf(wc_max).argmax())
+        raise MnaError(f"w*C overflows at {grid.freqs[i]:g} Hz "
+                       f"(omega={omegas[i]:g} rad/s)")
     # One work matrix for the whole audit, Y(w) = G + jwC: its real part
     # is G at every frequency, so it is written once and each frequency
     # writes only w*C into the imaginary part, then solves every live
@@ -123,7 +131,7 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     # The whole-array 2*pi*f gives the same floats as one point at a time.
     Y = pattern.G.astype(np.complex128)
     wC = Y.imag
-    for i, omega in enumerate((2.0 * math.pi * grid.freqs).tolist()):
+    for i, omega in enumerate(omegas.tolist()):
         if len(failed) == len(rows):
             break
         np.multiply(omega, C, out=wC)

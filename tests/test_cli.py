@@ -129,21 +129,28 @@ def test_netlist_without_nodes_is_not_clean(tmp_path, capsys):
     assert "no node analysed: the netlist has no non-ground node" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("src,name", [
-    ("R1 a 0 1e-320\nC1 a 0 1n", "R1"),                        # 1/R overflows
-    ("R1 a 0 1k\nG1 a 0 a 0 1e308\nG2 a 0 a 0 1e308", "G2"),  # the sum overflows
-])
-def test_non_finite_matrices_are_not_clean(tmp_path, capsys, src, name):
-    # Both once printed "No oscillatory loops detected" and exited 0: x
-    # came back finite while the residual was NaN.  build_pattern now
-    # names the element, with no numpy warning on the way.
+@pytest.mark.parametrize("src,options,error", [
+    ("R1 a 0 1e-320\nC1 a 0 1n", (),                        # 1/R overflows
+     "element 'R1' makes the MNA matrices non-finite"),
+    ("R1 a 0 1k\nG1 a 0 a 0 1e308\nG2 a 0 a 0 1e308", (),   # the sum overflows
+     "element 'G2' makes the MNA matrices non-finite"),
+    ("R1 a 0 1e-308\nC1 a 0 1n", ("--gmin", "1e308"),        # 1/R + gmin overflows
+     "gmin 1e+308 makes the MNA matrices non-finite"),
+    ("R1 a 0 1k\nC1 a 0 1e300", ("--fstop", "1g"),           # w*C overflows
+     "w*C overflows at 3.16228e+07 Hz (omega=1.98692e+08 rad/s)"),
+], ids=["R1 a 0 1e-320\nC1 a 0 1n-R1", "R1 a 0 1k\nG1 a 0 a 0 1e308\nG2 a 0 a 0 1e308-G2",
+        "R1 a 0 1e-308\nC1 a 0 1n-gmin", "R1 a 0 1k\nC1 a 0 1e300-wC"])
+def test_non_finite_matrices_are_not_clean(tmp_path, capsys, src, options, error):
+    # The first two once printed "No oscillatory loops detected" and
+    # exited 0: x came back finite while the residual was NaN.  The last
+    # two once warned of numpy overflow and excluded node 'a' as
+    # singular.  Each is now one error line, with no numpy warning.
     path = write(tmp_path, "huge.cir", f"t\n{src}\n.end\n")
     code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1k",
-                             "--fstop", "1meg", "--ppd", "10")
+                             "--fstop", "1meg", "--ppd", "10", *options)
     assert code == 1
     assert out == ""
-    assert err == f"loopscope: error: element {name!r} makes the MNA matrices non-finite\n"
+    assert err == f"loopscope: error: {error}\n"
 
 
 @pytest.mark.parametrize("option,value,bound", [

@@ -233,6 +233,31 @@ def test_parse_bad_value_token_carries_line_number(card, token):
         parse(f"t\nR0 a 0 1k\n{card}\n.end\n")
 
 
+@pytest.mark.parametrize("source,message", [
+    ("", "empty netlist source"),
+    ("t\n+ R1 a 0 1k", "line 2: continuation with nothing to continue"),
+    ("t\n.param", "line 2: empty .param directive"),
+    ("t\n.subckt a p\n.subckt b q\n.ends\n.ends",
+     "line 3: nested .subckt definitions are not supported"),
+    ("t\n.subckt a", "line 2: .subckt needs a name and at least one pin"),
+    ("t\n.ends", "line 2: .ends without .subckt"),
+    ("t\nX1 s", "line 2: instance needs nodes and a subcircuit name"),
+    ("t\n.subckt a p\nR1 p 0 1k", ".subckt 'a' is missing its .ends"),
+    ("t\nE1 a 0 b 1", "line 2: E-element needs 4 nodes and a gain"),
+    ("t\nF1 a 0 1", "line 2: F-element needs 2 nodes, a controlling V source and a gain"),
+    ("t\nV1 a 0 DC", "line 2: DC keyword needs a value"),
+    ("t\nR1 a 0 1k 2k", "line 2: R-element needs exactly one value"),
+    ("t\n.subckt s p\nR1 p 0 1k\n.ends\nX1 a b s",
+     "line 5: instance 'X1' has 2 nodes, subcircuit 's' has 1 pins"),
+], ids=["empty", "orphan-continuation", "empty-param", "nested-subckt", "subckt-no-pins",
+        "orphan-ends", "instance-no-subckt", "unclosed-subckt", "vcvs-arity",
+        "cccs-arity", "dc-without-value", "two-values", "instance-pin-count"])
+def test_refused_netlist_names_the_fault(source, message):
+    with pytest.raises(NetlistError) as err:
+        elaborate(parse(source))
+    assert str(err.value) == message
+
+
 def test_parse_unknown_directive_warns():
     net = parse("t\n.options reltol=1e-4\nR1 a 0 1k\n.end\n")
     assert any(".options" in w for w in net.warnings)
