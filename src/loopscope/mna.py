@@ -21,11 +21,15 @@ A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
 folded into G, and a gmin that overflows G is refused.
 
-Each frequency point of a node's sweep is one dense complex solve with
-numpy.linalg (LU with partial pivoting), one LAPACK call per accepted
-point; ``solve`` states the one rule by which it is accepted.  The
-residual check uses ndarray methods (``abs(r).max()``), not the slower
-``np.max``/``np.all`` wrappers, since it runs at every point.
+At each frequency a sweep solves Y(w) once per injected node with
+numpy.linalg, one dense LU with partial pivoting and one LAPACK call
+per accepted point, and ``solve_block`` judges that frequency's
+solutions as one block by the one rule it states: one residual product,
+one row-wise norm and one comparison for every row, then the
+finiteness check, the scaled bound and the QR that names a singular
+unknown only for the rows that miss.  ``solve`` is its one-row case.
+The checks use ndarray methods (``abs(R).max(axis=1)``), not the slower
+``np.max``/``np.all`` wrappers, since they run at every frequency.
 """
 
 from __future__ import annotations
@@ -162,40 +166,72 @@ def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
                        f"got {elem.control_element!r}") from None
 
 
+def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str] | None = None,
+                omega: float | None = None) -> tuple[np.ndarray, dict[int, SingularSystem]]:
+    """Solve Y x = b for each row b of B, one dense LU with partial
+    pivoting per row, and judge every solution by one rule: x is accepted
+    iff it is finite and its normwise backward error (Rigal & Gaches
+    1967) is at most 1e-9,
+    ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf + ||b||_inf),
+    so a large response is not refused for rounding alone.
+
+    Every row is first tested at once against 1e-9 ||b||_inf alone, from
+    one residual product; a non-finite x leaves an inf or NaN residual
+    and always misses.  Only a row that misses is checked for
+    finiteness and then against the scaled bound, with ||Y|| formed at
+    most once per call; a non-finite bound refuses.  Returns X, whose
+    row j solves row j of B, and a dict from each refused row to its
+    ``SingularSystem``, which names the unknown of a dependent column of
+    Y (from at most one QR of Y per call), else the first non-finite
+    entry of x, or, for a finite x, the worst residual row.  A refused
+    row of X holds no solution."""
+    X = np.empty(B.shape, np.result_type(Y, B, 1.0))
+    for j, b in enumerate(B):
+        try:
+            X[j] = np.linalg.solve(Y, b)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            X[j] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = B - X @ Y.T
+    rnorm = abs(R).max(axis=1, initial=0.0)
+    bnorm = abs(B).max(axis=1, initial=0.0)
+    # A NaN residual misses, and so does an infinite one, which an
+    # infinite b would otherwise pass.
+    miss = ~(rnorm <= _RESIDUAL_RTOL * bnorm) | np.isinf(rnorm)
+    refused: dict[int, SingularSystem] = {}
+    if not miss.any():
+        return X, refused
+    ynorm = dependent = None
+    for j in np.flatnonzero(miss).tolist():
+        finite = np.isfinite(X[j])
+        if not finite.all():
+            # LAPACK returns NaN, not an error, on a subnormal pivot, and
+            # in sound unknowns too, so a non-finite x names the first
+            # column of Y that depends on the earlier ones, else its
+            # first non-finite entry.
+            if dependent is None:
+                d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
+                dependent = d <= len(d) * np.finfo(np.float64).eps * d.max()
+            culprit = (dependent if dependent.any() else ~finite).argmax()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if ynorm is None:
+                    ynorm = abs(Y).sum(axis=1).max()
+                scale = ynorm * abs(X[j]).max() + bnorm[j]
+            if np.isfinite(scale) and rnorm[j] <= _RESIDUAL_RTOL * scale:
+                continue
+            culprit = abs(R[j]).argmax()
+        i = int(culprit)
+        refused[j] = SingularSystem(labels[i] if labels and i < len(labels)
+                                    else f"unknown #{i}", omega)
+    return X, refused
+
+
 def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
           omega: float | None = None) -> np.ndarray:
-    """Dense LU solve with partial pivoting, judged by one rule: the
-    first LU solution x is accepted iff it is finite and its normwise
-    backward error (Rigal & Gaches 1967) is at most 1e-9,
-    ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf + ||b||_inf), so a large
-    response is not refused for rounding alone.  ||Y|| is formed only
-    when 1e-9 ||b||_inf alone misses, and a non-finite bound refuses.  A
-    refusal raises ``SingularSystem``, naming the unknown of a dependent
-    column of Y, else the first non-finite entry of x, or, for a finite
-    x, the worst residual row."""
-    def label(i: int) -> str:
-        return labels[i] if labels and i < len(labels) else f"unknown #{i}"
-
-    try:
-        x = np.linalg.solve(Y, b)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        x = np.full(len(b), np.nan)
-    # LAPACK returns NaN, not an error, on a subnormal pivot, and in sound
-    # unknowns too, so a non-finite x names the first column of Y that
-    # depends on the earlier ones, else its first non-finite entry.  It
-    # is judged before any residual is formed.
-    finite = np.isfinite(x)
-    if not finite.all():
-        d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
-        dependent = d <= len(b) * np.finfo(np.float64).eps * d.max()
-        bad = dependent if dependent.any() else ~finite
-        raise SingularSystem(label(int(bad.argmax())), omega)
-    resid = b - Y @ x
-    rnorm = abs(resid).max(initial=0.0)
-    bnorm = abs(b).max(initial=0.0)
-    if not rnorm <= _RESIDUAL_RTOL * bnorm:  # a NaN residual misses too
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = abs(Y).sum(axis=1).max() * abs(x).max() + bnorm
-        if not (np.isfinite(scale) and rnorm <= _RESIDUAL_RTOL * scale):
-            raise SingularSystem(label(int(abs(resid).argmax())), omega)
-    return x
+    """``solve_block`` for the one right-hand side b: returns the accepted
+    x, or raises the ``SingularSystem`` that refuses it."""
+    X, refused = solve_block(Y, b[None], labels, omega)
+    if refused:
+        raise refused[0]
+    return X[0]

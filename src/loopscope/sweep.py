@@ -1,14 +1,15 @@
 """AC current-injection frequency sweeps on a log-spaced grid.
 
 Each audit zeroes every independent source and walks the grid once: at
-each frequency it builds Y(w) = G + jwC and solves it with a fixed 1 A
-injected into each requested node in turn, recording |V| at that node.
-With a 1 A stimulus the magnitude equals the driving-point impedance,
-and the stimulus level would cancel out of the downstream log-derivative
-analysis anyway.  ``sweep_all_nodes`` is the one entry point for an
-audit, of one node or of many, and returns one ``Sweep``: a nodes x
-frequencies block of magnitudes.  A node whose solve fails is recorded
-instead of aborting the audit, gets no further solves and has no row.
+each frequency it builds Y(w) = G + jwC and solves it, in one
+``mna.solve_block`` call, against a fixed 1 A injected into each
+requested node, recording |V| at that node.  With a 1 A stimulus the
+magnitude equals the driving-point impedance, and the stimulus level
+would cancel out of the downstream log-derivative analysis anyway.
+``sweep_all_nodes`` is the one entry point for an audit, of one node or
+of many, and returns one ``Sweep``: a nodes x frequencies block of
+magnitudes.  A node whose solve fails is recorded instead of aborting
+the audit, gets no further solves and has no row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mna import MnaError, MnaPattern, SingularSystem, solve
+from .mna import MnaError, MnaPattern, solve_block
 
 #: Lower clamp applied to |V| before logs; clamped points are flagged and
 #: never become peak candidates.
@@ -111,6 +112,7 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     if len(set(rows)) < len(rows):
         repeat = next(name for k, name in enumerate(nodes) if rows[k] in rows[:k])
         raise MnaError(f"node {repeat!r} requested twice")
+    rows = np.array(rows, dtype=np.intp)
     unit = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
     unit[range(len(rows)), rows] = 1.0
     magnitude = np.zeros((len(rows), len(grid)))
@@ -125,27 +127,30 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
                        f"(omega={omegas[i]:g} rad/s)")
     # One work matrix for the whole audit, Y(w) = G + jwC: its real part
     # is G at every frequency, so it is written once and each frequency
-    # writes only w*C into the imaginary part, then solves every live
-    # node against that Y.  G and C are sums into zeros and hold no -0.0,
-    # so this Y is bitwise the G + jwC that evaluating it afresh gives.
-    # The whole-array 2*pi*f gives the same floats as one point at a time.
+    # writes only w*C into the imaginary part, then solves the unit rows
+    # of every live node against that Y as one block.  G and C are sums
+    # into zeros and hold no -0.0, so this Y is bitwise the G + jwC that
+    # evaluating it afresh gives.  The whole-array 2*pi*f gives the same
+    # floats as one point at a time.
     Y = pattern.G.astype(np.complex128)
     wC = Y.imag
+    live = np.arange(len(rows))  # the nodes still solving, as indexes into rows
+    B, at = unit, (live, rows)     # their unit rows; each one's own unknown in X
     for i, omega in enumerate(omegas.tolist()):
-        if len(failed) == len(rows):
+        if not live.size:
             break
         np.multiply(omega, C, out=wC)
-        for k, row in enumerate(rows):
-            if k in failed:
-                continue
-            try:
-                x = solve(Y, unit[k], labels=labels, omega=omega)
-            except SingularSystem as exc:
-                failed[k] = str(exc)
-                continue
-            mag = magnitude[k, i] = abs(x[row])
-            if mag <= NOISE_FLOOR_REL * abs(x).max():
-                clamped[k, i] = True
+        X, refused = solve_block(Y, B, labels=labels, omega=omega)
+        if refused:
+            failed.update((int(live[j]), str(exc)) for j, exc in refused.items())
+            kept = [j for j in range(len(live)) if j not in refused]
+            live, X = live[kept], X[kept]
+            B, at = unit[live], (np.arange(len(live)), rows[live])
+        # hypot is bitwise the scalar abs(x[row]) of a per-point solve; an
+        # array abs of complex values may differ from it in the last bit.
+        x = X[at]
+        mag = magnitude[live, i] = np.hypot(x.real, x.imag)
+        clamped[live, i] = mag <= NOISE_FLOOR_REL * abs(X).max(axis=1)
     clamped |= magnitude < MAGNITUDE_FLOOR
     magnitude[clamped] = MAGNITUDE_FLOOR
     ok = [k for k in range(len(rows)) if k not in failed]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopscope import cli
@@ -455,6 +456,29 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     assert (tmp_path / "r.txt").read_text() == out
     assert json.loads((tmp_path / "r.json").read_text())["per_node_errors"].keys() == {"a"}
     assert (tmp_path / "c.csv").read_text().splitlines()[:2] == ["freq_hz", "12.589254117941675"]
+
+
+@pytest.mark.parametrize("gmin", ["0", "1e-320"])
+def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, gmin):
+    # The isolated node f makes Y singular: at gmin 0 its pivot is exactly
+    # zero, at 1e-320 subnormal, and LAPACK returns NaN.  Every node fails
+    # at the first frequency, and the three refusals share one QR of Y.
+    calls = {"solve": 0, "qr": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    path = write(tmp_path, "f.cir",
+                 "t\nR1 a 0 1k\nC1 a 0 1n\nL1 a b 1u\nR2 b 0 10\nI1 f 0 AC 1\n.end\n")
+    code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1meg",
+                             "--fstop", "100meg", "--gmin", gmin)
+    assert code == 1
+    assert calls == {"solve": 3, "qr": 1}
+    assert [line for line in out.splitlines() if "excluded" in line] == [
+        f"- node {node!r} excluded: singular MNA system at unknown 'f' "
+        "(omega=6.28319e+06 rad/s)" for node in "abf"]
+    assert err == "loopscope: error: no node analysed: all 3 swept node(s) failed to solve\n"
 
 
 def test_opamp_macromodel_gates_on_load(tmp_path, capsys):

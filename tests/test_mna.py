@@ -11,6 +11,7 @@ from loopscope.mna import (
     SingularSystem,
     build_pattern,
     solve,
+    solve_block,
 )
 from loopscope.netlist import elaborate, parse, parse_value
 from loopscope.stability import overshoot_from_zeta, phase_margin_from_zeta
@@ -354,6 +355,23 @@ def test_solution_that_misses_names_the_worst_residual_row(monkeypatch):
         solve(Y, b, labels=pattern.labels, omega=5.0)
     assert len(calls) == 1
     assert err.value.label == pattern.labels[int(np.argmax(np.abs(Y[:, 4])))] == "s2"
+
+
+def test_block_judges_each_row_as_solve_does(monkeypatch):
+    # One block, one LU per row: the row whose solve is off by 1e-3 in
+    # unknown 4 is refused with the label solve gives it, and the other
+    # rows come back bitwise as solve returns them.
+    pattern, Y, _ = _ladder_system()
+    B = np.eye(pattern.dim, dtype=complex)[[0, 4, 6]]
+    expected = [solve(Y, b, labels=pattern.labels) for b in B]
+    calls = _count_solves(
+        monkeypatch, lambda call, x: x + 1e-3 * np.eye(len(x))[4] if call == 2 else x)
+    X, refused = solve_block(Y, B, labels=pattern.labels, omega=5.0)
+    assert len(calls) == 3
+    assert list(refused) == [1]
+    assert (refused[1].label, refused[1].omega) == ("s2", 5.0)
+    for j in (0, 2):
+        assert X[j].tobytes() == expected[j].tobytes()
 
 
 def test_large_response_passes_on_its_normwise_backward_error():

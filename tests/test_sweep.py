@@ -160,7 +160,7 @@ def test_all_nodes_filter_hierarchical():
 
 def test_unknown_node_is_refused_before_any_solve(monkeypatch):
     calls = []
-    monkeypatch.setattr(sweep, "solve", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(sweep, "solve_block", lambda *args, **kwargs: calls.append(args))
     pattern = build_pattern(_net(circuits.passive_rlc_loop(0.2)))
     for nodes, message in ((["n1", "nope"], "unknown node 'nope'"),
                            (["n1", "N1"], "node 'N1' requested twice")):
@@ -170,38 +170,50 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
 
 
 def test_one_solve_per_node_and_frequency(monkeypatch):
-    # Frequency-major: each frequency's Y is solved for every node, in
-    # node order, and every solve is handed the same work matrix.
-    calls = []
+    # Frequency-major: each frequency's Y is solved once as a block of
+    # every node's unit row, in node order, by one LU per node, and every
+    # LU is handed the same work matrix.
+    blocks, lus = [], []
+    block, lu = sweep.solve_block, np.linalg.solve
 
-    def counted(Y, b, **kwargs):
-        calls.append((kwargs["omega"], int(np.flatnonzero(b)[0]), Y))
-        return solve(Y, b, **kwargs)
+    def counted_block(Y, B, **kwargs):
+        blocks.append((kwargs["omega"], [int(np.flatnonzero(b)[0]) for b in B]))
+        return block(Y, B, **kwargs)
 
-    monkeypatch.setattr(sweep, "solve", counted)
+    def counted_lu(Y, b):
+        lus.append((int(np.flatnonzero(b)[0]), Y))
+        return lu(Y, b)
+
+    monkeypatch.setattr(sweep, "solve_block", counted_block)
+    monkeypatch.setattr(np.linalg, "solve", counted_lu)
     pattern = build_pattern(_net(circuits.ladder(3)))
     grid = make_grid(1.0, 1000.0, 10)
     swept = sweep_all_nodes(pattern, grid)
     assert len(grid) == 31 and len(swept.nodes) == pattern.n_nodes == 7
     omegas = (2 * math.pi * grid.freqs).tolist()
-    assert [omega for omega, _, _ in calls] == [w for w in omegas for _ in range(7)]
-    assert [row for _, row, _ in calls] == list(range(7)) * 31
-    assert all(Y is calls[0][2] for _, _, Y in calls)
+    assert blocks == [(omega, list(range(7))) for omega in omegas]
+    assert [row for row, _ in lus] == list(range(7)) * 31
+    assert all(Y is lus[0][1] for _, Y in lus)
 
 
 def _failing_solve(monkeypatch, pattern, fail_at):
-    """Patch the sweep's solve to raise SingularSystem for each node in
-    ``fail_at`` at its omega; returns the (node, omega) of every call."""
+    """Patch the sweep's block solve to refuse the row of each node in
+    ``fail_at`` at its omega, leaving NaN in that row of X; returns the
+    (node, omega) of every row solved."""
     calls = []
+    block = sweep.solve_block
 
-    def failing(Y, b, **kwargs):
-        node = pattern.labels[int(np.flatnonzero(b)[0])]
-        calls.append((node, kwargs["omega"]))
-        if fail_at.get(node) == kwargs["omega"]:
-            raise SingularSystem(node, kwargs["omega"])
-        return solve(Y, b, **kwargs)
+    def failing(Y, B, **kwargs):
+        X, refused = block(Y, B, **kwargs)
+        for j, b in enumerate(B):
+            node = pattern.labels[int(np.flatnonzero(b)[0])]
+            calls.append((node, kwargs["omega"]))
+            if fail_at.get(node) == kwargs["omega"]:
+                X[j] = np.nan
+                refused[j] = SingularSystem(node, kwargs["omega"])
+        return X, refused
 
-    monkeypatch.setattr(sweep, "solve", failing)
+    monkeypatch.setattr(sweep, "solve_block", failing)
     return calls
 
 
@@ -330,7 +342,8 @@ def _oracle_response(pattern, node, grid):
     (circuits.two_block(), (50.0, 5e6, 40)),
     (circuits.passive_rlc_loop(0.2), (50.0, 500e3, 100)),
     (circuits.hierarchical_opamp_buffer(), (1e3, 1e9, 50)),
-], ids=["two_block", "rlc", "opamp"])
+    (circuits.ladder(10), (1e3, 1e9, 100)),  # the benchmark's all-nodes audit
+], ids=["two_block", "rlc", "opamp", "ladder10"])
 def test_in_place_assembly_matches_fresh_matrix_oracle_bitwise(src, grid_args):
     pattern = build_pattern(_net(src))
     grid = make_grid(*grid_args)
