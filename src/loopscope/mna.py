@@ -21,14 +21,10 @@ A small conductance (gmin) from every node to ground keeps nearly
 floating nodes solvable, matching common simulator practice; it is
 folded into G, and a gmin that overflows G is refused.
 
-At each frequency a sweep solves Y(w) once per injected node with
-numpy.linalg, one dense LU with partial pivoting and one LAPACK call
-per accepted point, and ``solve_block`` judges that frequency's
-solutions as one block by the one rule it states: one residual product,
-one row-wise norm and one comparison for every row, then the
-finiteness check, the scaled bound and the QR that names a singular
-unknown only for the rows that miss.  ``solve`` is its one-row case.
-The checks use ndarray methods (``abs(R).max(axis=1)``), not the slower
+``solve_block`` is the one solver: at each frequency a sweep hands it
+Y(w) and the unit rows of every injected node, and its docstring states
+the one rule that accepts or refuses each solution.  The checks use
+ndarray methods (``abs(R).max(axis=1)``), not the slower
 ``np.max``/``np.all`` wrappers, since they run at every frequency.
 """
 
@@ -53,15 +49,12 @@ class SingularSystem(MnaError):
     """Singular (or numerically hopeless) system; names the unknown whose
     pivot vanished so floating nodes and source loops are identifiable,
     or, for a finite solution that misses the residual bound, the worst
-    residual row."""
+    residual row, at the angular frequency omega."""
 
-    def __init__(self, label: str, omega: float | None = None):
+    def __init__(self, label: str, omega: float):
         self.label = label
         self.omega = omega
-        msg = f"singular MNA system at unknown {label!r}"
-        if omega is not None:
-            msg += f" (omega={omega:g} rad/s)"
-        super().__init__(msg)
+        super().__init__(f"singular MNA system at unknown {label!r} (omega={omega:g} rad/s)")
 
 
 @dataclass
@@ -110,9 +103,6 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
     G = np.zeros((dim + 1, dim + 1))
     C = np.zeros((dim + 1, dim + 1))
 
-    # Overflow (1/R of a subnormal R, or a sum of huge gains) leaves an inf
-    # or NaN, refused per element below rather than warned about here.
-    @np.errstate(over="ignore", invalid="ignore")
     def stamp(M: np.ndarray, p: int, n: int, q: int, r: int, w: float):
         """M += w (e_p - e_n)(e_q - e_r)^T."""
         M[p, q] += w
@@ -120,37 +110,39 @@ def build_pattern(net: Netlist, gmin: float = GMIN_DEFAULT) -> MnaPattern:
         M[p, r] -= w
         M[n, q] -= w
 
-    for elem in net.elements:
-        a, b, *sense = (index[node.lower()] for node in elem.nodes)
-        kind = elem.kind
-        val = float(elem.value)
-        k = branch_map.get(elem.name.lower())
-        if k is not None:
-            # Branch current I_k leaves a through the element into b, and
-            # row k holds the element's equation, V_a - V_b first.
-            stamp(G, a, b, k, gnd, 1.0)
-            stamp(G, k, gnd, a, b, 1.0)
+    # Overflow (1/R of a subnormal R, a sum of huge gains, or gmin) leaves
+    # an inf or NaN, refused below rather than warned about here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for elem in net.elements:
+            a, b, *sense = (index[node.lower()] for node in elem.nodes)
+            kind = elem.kind
+            val = float(elem.value)
+            k = branch_map.get(elem.name.lower())
+            if k is not None:
+                # Branch current I_k leaves a through the element into b, and
+                # row k holds the element's equation, V_a - V_b first.
+                stamp(G, a, b, k, gnd, 1.0)
+                stamp(G, k, gnd, a, b, 1.0)
 
-        if kind is ElementKind.RESISTOR:
-            stamp(G, a, b, a, b, 1.0 / val)
-        elif kind is ElementKind.CAPACITOR:
-            stamp(C, a, b, a, b, val)
-        elif kind is ElementKind.INDUCTOR:
-            stamp(C, k, gnd, k, gnd, -val)
-        elif kind is ElementKind.VCVS:
-            stamp(G, k, gnd, *sense, -val)
-        elif kind is ElementKind.VCCS:
-            stamp(G, a, b, *sense, val)
-        elif kind is ElementKind.CCCS:
-            stamp(G, a, b, _control_branch(vsource_rows, elem), gnd, val)
-        elif kind is ElementKind.CCVS:
-            stamp(G, k, gnd, _control_branch(vsource_rows, elem), gnd, -val)
-        # The stamps wrote rows a, b and k only, and an inf or NaN stays.
-        rows = [i for i in (a, b, k) if i is not None and i != gnd]
-        if not (np.isfinite(G[rows, :dim]).all() and np.isfinite(C[rows, :dim]).all()):
-            raise MnaError(f"element {elem.name!r} makes the MNA matrices non-finite")
-    G, C = G[:dim, :dim], C[:dim, :dim]
-    with np.errstate(over="ignore"):
+            if kind is ElementKind.RESISTOR:
+                stamp(G, a, b, a, b, 1.0 / val)
+            elif kind is ElementKind.CAPACITOR:
+                stamp(C, a, b, a, b, val)
+            elif kind is ElementKind.INDUCTOR:
+                stamp(C, k, gnd, k, gnd, -val)
+            elif kind is ElementKind.VCVS:
+                stamp(G, k, gnd, *sense, -val)
+            elif kind is ElementKind.VCCS:
+                stamp(G, a, b, *sense, val)
+            elif kind is ElementKind.CCCS:
+                stamp(G, a, b, _control_branch(vsource_rows, elem), gnd, val)
+            elif kind is ElementKind.CCVS:
+                stamp(G, k, gnd, _control_branch(vsource_rows, elem), gnd, -val)
+            # The stamps wrote rows a, b and k only, and an inf or NaN stays.
+            rows = [i for i in (a, b, k) if i is not None and i != gnd]
+            if not (np.isfinite(G[rows, :dim]).all() and np.isfinite(C[rows, :dim]).all()):
+                raise MnaError(f"element {elem.name!r} makes the MNA matrices non-finite")
+        G, C = G[:dim, :dim], C[:dim, :dim]
         G[range(n_nodes), range(n_nodes)] += gmin
     if not np.isfinite(G.diagonal()).all():
         raise MnaError(f"gmin {gmin!r} makes the MNA matrices non-finite")
@@ -166,31 +158,36 @@ def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
                        f"got {elem.control_element!r}") from None
 
 
-def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str] | None = None,
-                omega: float | None = None) -> tuple[np.ndarray, dict[int, SingularSystem]]:
+def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
+                omega: float) -> tuple[np.ndarray, dict[int, SingularSystem]]:
     """Solve Y x = b for each row b of B, one dense LU with partial
     pivoting per row, and judge every solution by one rule: x is accepted
     iff it is finite and its normwise backward error (Rigal & Gaches
     1967) is at most 1e-9,
     ||Yx - b||_inf <= 1e-9 (||Y||_inf ||x||_inf + ||b||_inf),
-    so a large response is not refused for rounding alone.
+    so a large response is not refused for rounding alone.  There is no
+    refinement step.
 
     Every row is first tested at once against 1e-9 ||b||_inf alone, from
     one residual product; a non-finite x leaves an inf or NaN residual
     and always misses.  Only a row that misses is checked for
     finiteness and then against the scaled bound, with ||Y|| formed at
-    most once per call; a non-finite bound refuses.  Returns X, whose
-    row j solves row j of B, and a dict from each refused row to its
-    ``SingularSystem``, which names the unknown of a dependent column of
-    Y (from at most one QR of Y per call), else the first non-finite
-    entry of x, or, for a finite x, the worst residual row.  A refused
-    row of X holds no solution."""
+    most once per call; a non-finite bound refuses.  An exactly zero
+    pivot stops the first LU, and since every row shares Y's LU, no
+    other row is tried: the whole block is refused.
+
+    Returns X, whose row j solves row j of B, and a dict from each
+    refused row to its ``SingularSystem`` at ``omega``.  It names, from
+    ``labels`` (one per unknown), the unknown of a dependent column of Y
+    (from at most one QR of Y per call), else the first non-finite entry
+    of x, or, for a finite x, the worst residual row.  A refused row of
+    X holds no solution."""
     X = np.empty(B.shape, np.result_type(Y, B, 1.0))
-    for j, b in enumerate(B):
-        try:
+    try:
+        for j, b in enumerate(B):
             X[j] = np.linalg.solve(Y, b)
-        except np.linalg.LinAlgError:  # an exactly zero pivot
-            X[j] = np.nan
+    except np.linalg.LinAlgError:  # an exactly zero pivot, in every row's LU
+        X[:] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
         R = B - X @ Y.T
     rnorm = abs(R).max(axis=1, initial=0.0)
@@ -221,17 +218,5 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str] | None = None,
             if np.isfinite(scale) and rnorm[j] <= _RESIDUAL_RTOL * scale:
                 continue
             culprit = abs(R[j]).argmax()
-        i = int(culprit)
-        refused[j] = SingularSystem(labels[i] if labels and i < len(labels)
-                                    else f"unknown #{i}", omega)
+        refused[j] = SingularSystem(labels[culprit], omega)
     return X, refused
-
-
-def solve(Y: np.ndarray, b: np.ndarray, labels: list[str] | None = None,
-          omega: float | None = None) -> np.ndarray:
-    """``solve_block`` for the one right-hand side b: returns the accepted
-    x, or raises the ``SingularSystem`` that refuses it."""
-    X, refused = solve_block(Y, b[None], labels, omega)
-    if refused:
-        raise refused[0]
-    return X[0]

@@ -458,11 +458,12 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     assert (tmp_path / "c.csv").read_text().splitlines()[:2] == ["freq_hz", "12.589254117941675"]
 
 
-@pytest.mark.parametrize("gmin", ["0", "1e-320"])
-def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, gmin):
+@pytest.mark.parametrize("gmin,lus", [("0", 1), ("1e-320", 3)], ids=["0", "1e-320"])
+def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, gmin, lus):
     # The isolated node f makes Y singular: at gmin 0 its pivot is exactly
-    # zero, at 1e-320 subnormal, and LAPACK returns NaN.  Every node fails
-    # at the first frequency, and the three refusals share one QR of Y.
+    # zero, which stops the first LU and so the whole block; at 1e-320 it
+    # is subnormal, and LAPACK returns NaN for each node's LU.  Every node
+    # fails at the first frequency, and the three refusals share one QR.
     calls = {"solve": 0, "qr": 0}
     for name in calls:
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -474,7 +475,7 @@ def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, 
     code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1meg",
                              "--fstop", "100meg", "--gmin", gmin)
     assert code == 1
-    assert calls == {"solve": 3, "qr": 1}
+    assert calls == {"solve": lus, "qr": 1}
     assert [line for line in out.splitlines() if "excluded" in line] == [
         f"- node {node!r} excluded: singular MNA system at unknown 'f' "
         "(omega=6.28319e+06 rad/s)" for node in "abf"]

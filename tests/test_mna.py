@@ -10,7 +10,6 @@ from loopscope.mna import (
     MnaError,
     SingularSystem,
     build_pattern,
-    solve,
     solve_block,
 )
 from loopscope.netlist import elaborate, parse, parse_value
@@ -25,12 +24,20 @@ def _net(src):
     return elaborate(parse(src))
 
 
+def _inject_block(pattern, nodes, omega, current=1.0):
+    """``solve_block`` of one row per node in ``nodes``, ``current``
+    injected into that node: returns X and the refused rows."""
+    B = np.zeros((len(nodes), pattern.dim), dtype=complex)
+    B[range(len(nodes)), [pattern.row_of_node(node) for node in nodes]] = current
+    return solve_block(pattern.G + 1j * omega * pattern.C, B, pattern.labels, omega)
+
+
 def _inject(pattern, node, omega, current=1.0):
-    """Full solution vector with ``current`` injected into ``node``."""
-    b = np.zeros(pattern.dim, dtype=complex)
-    b[pattern.row_of_node(node)] = current
-    return solve(pattern.G + 1j * omega * pattern.C, b,
-                 labels=pattern.labels, omega=omega)
+    """Full solution vector with ``current`` injected into ``node``, which
+    the block must accept."""
+    X, refused = _inject_block(pattern, [node], omega, current)
+    assert refused == {}
+    return X[0]
 
 
 def _solve_node(net, node, omega, gmin=1e-12):
@@ -248,7 +255,9 @@ def test_identity_solve():
     Y = np.eye(4, dtype=complex)
     b = np.zeros(4, dtype=complex)
     b[2] = 1.0
-    assert np.allclose(solve(Y, b), b)
+    X, refused = solve_block(Y, b[None], list("abcd"), 1.0)
+    assert refused == {}
+    assert np.allclose(X[0], b)
 
 
 @pytest.mark.parametrize("src,gmin,node,label", [
@@ -263,10 +272,10 @@ def test_floating_node_without_gmin_names_the_node(src, gmin, node, label):
     # Floating nodes and source or controlled-source loops: the error
     # names the unknown whose pivot vanishes in partial-pivoting LU.
     pattern = build_pattern(_net(f"t\n{src}\n.end\n"), gmin=gmin)
-    with pytest.raises(SingularSystem) as err:
-        _inject(pattern, node, 1e3)
-    assert err.value.label == label
-    assert err.value.omega == 1e3
+    _, refused = _inject_block(pattern, [node], 1e3)
+    assert list(refused) == [0]
+    assert refused[0].label == label
+    assert refused[0].omega == 1e3
 
 
 @pytest.mark.parametrize("gmin", [1e-320, 0.0])
@@ -276,10 +285,8 @@ def test_subnormal_pivot_names_the_isolated_node(gmin):
     # must not be blamed.  At gmin 0 the pivot is exactly zero.
     net = _net("t\nR1 a 0 1k\nC1 a 0 1n\nL1 a b 1u\nR2 b 0 10\nI1 f 0 AC 1\n.end\n")
     pattern = build_pattern(net, gmin=gmin)
-    for node in ("a", "b", "f"):
-        with pytest.raises(SingularSystem) as err:
-            _inject(pattern, node, 2e6 * math.pi)
-        assert err.value.label == "f"
+    _, refused = _inject_block(pattern, ["a", "b", "f"], 2e6 * math.pi)
+    assert {j: exc.label for j, exc in refused.items()} == {0: "f", 1: "f", 2: "f"}
 
 
 def test_floating_node_with_gmin_solves():
@@ -294,7 +301,9 @@ def test_random_complex_system_residual():
     Y = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
          + 10.0 * np.eye(n))
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = solve(Y, b)
+    X, refused = solve_block(Y, b[None], [f"u{i}" for i in range(n)], 1.0)
+    assert refused == {}
+    x = X[0]
     resid = np.max(np.abs(b - Y @ x))
     assert resid <= 1e-9 * np.max(np.abs(b))
 
@@ -324,25 +333,27 @@ def test_accurate_first_solve_is_the_only_solve(monkeypatch):
     pattern, Y, b = _ladder_system()
     expected = np.linalg.solve(Y, b)
     calls = _count_solves(monkeypatch)
-    assert np.array_equal(solve(Y, b, labels=pattern.labels), expected)
+    X, refused = solve_block(Y, b[None], pattern.labels, 5.0)
+    assert refused == {}
+    assert np.array_equal(X[0], expected)
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
-def test_non_finite_solution_raises_without_refinement(monkeypatch, bad):
-    # A NaN or inf from LAPACK is refused before any residual is formed,
-    # and the first non-finite entry of x names the unknown.
+def test_non_finite_solution_is_refused_without_refinement(monkeypatch, bad):
+    # A NaN or inf from LAPACK is refused, and the first non-finite entry
+    # of x names the unknown.
     pattern, Y, b = _ladder_system()
     x_bad = np.linalg.solve(Y, b)
     x_bad[4] = bad
     calls = _count_solves(monkeypatch, lambda call, x: x_bad.copy())
     with np.errstate(invalid="ignore"):
         assert np.isnan(b - Y @ x_bad).all()
-        with pytest.raises(SingularSystem) as err:
-            solve(Y, b, labels=pattern.labels, omega=5.0)
+        _, refused = solve_block(Y, b[None], pattern.labels, 5.0)
     assert len(calls) == 1
-    assert err.value.omega == 5.0
-    assert err.value.label == pattern.labels[4] == "s2"
+    assert list(refused) == [0]
+    assert refused[0].omega == 5.0
+    assert refused[0].label == pattern.labels[4] == "s2"
 
 
 def test_solution_that_misses_names_the_worst_residual_row(monkeypatch):
@@ -351,19 +362,19 @@ def test_solution_that_misses_names_the_worst_residual_row(monkeypatch):
     # the unknown.  There is no second solve.
     pattern, Y, b = _ladder_system()
     calls = _count_solves(monkeypatch, lambda call, x: x + 1e-3 * np.eye(len(x))[4])
-    with pytest.raises(SingularSystem) as err:
-        solve(Y, b, labels=pattern.labels, omega=5.0)
+    _, refused = solve_block(Y, b[None], pattern.labels, 5.0)
     assert len(calls) == 1
-    assert err.value.label == pattern.labels[int(np.argmax(np.abs(Y[:, 4])))] == "s2"
+    assert list(refused) == [0]
+    assert refused[0].label == pattern.labels[int(np.argmax(np.abs(Y[:, 4])))] == "s2"
 
 
 def test_block_judges_each_row_as_solve_does(monkeypatch):
     # One block, one LU per row: the row whose solve is off by 1e-3 in
-    # unknown 4 is refused with the label solve gives it, and the other
-    # rows come back bitwise as solve returns them.
+    # unknown 4 is refused with the label a one-row block gives it, and
+    # the other rows come back bitwise as one-row blocks return them.
     pattern, Y, _ = _ladder_system()
     B = np.eye(pattern.dim, dtype=complex)[[0, 4, 6]]
-    expected = [solve(Y, b, labels=pattern.labels) for b in B]
+    expected = [solve_block(Y, b[None], pattern.labels, 5.0)[0][0] for b in B]
     calls = _count_solves(
         monkeypatch, lambda call, x: x + 1e-3 * np.eye(len(x))[4] if call == 2 else x)
     X, refused = solve_block(Y, B, labels=pattern.labels, omega=5.0)
@@ -374,6 +385,29 @@ def test_block_judges_each_row_as_solve_does(monkeypatch):
         assert X[j].tobytes() == expected[j].tobytes()
 
 
+def test_zero_pivot_refuses_the_whole_block_after_one_lu(monkeypatch):
+    # Every row shares Y's LU, so an exactly zero pivot stops the first
+    # row's LU and refuses every row, all named from one QR of Y.
+    Y = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(Y, np.eye(2, dtype=complex)[0])
+    qrs = []
+    real_qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        qrs.append(args)
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(mna.np.linalg, "qr", counted_qr)
+    calls = _count_solves(monkeypatch)
+    X, refused = solve_block(Y, np.eye(2, dtype=complex), ["a", "b"], 5.0)
+    assert len(calls) == 1 and len(qrs) == 1
+    assert list(refused) == [0, 1]
+    assert all(isinstance(exc, SingularSystem) for exc in refused.values())
+    assert [(exc.label, exc.omega) for exc in refused.values()] == [("b", 5.0)] * 2
+    assert np.isnan(X).all()
+
+
 def test_large_response_passes_on_its_normwise_backward_error():
     # At a few of these points the residual of the ~1e11 V solution misses
     # 1e-9 ||b|| from rounding alone; scaled by ||Y|| ||x|| it is ~1e-17.
@@ -382,7 +416,9 @@ def test_large_response_passes_on_its_normwise_backward_error():
     b[pattern.row_of_node("in")] = 1.0
     for omega in 2 * math.pi * make_grid(1.0, 1e10, 100).freqs[:400]:
         Y = pattern.G + 1j * omega * pattern.C
-        x = solve(Y, b, labels=pattern.labels, omega=omega)
+        X, refused = solve_block(Y, b[None], pattern.labels, omega)
+        assert refused == {}
+        x = X[0]
         scale = np.abs(Y).sum(axis=1).max() * np.abs(x).max() + 1.0
         assert np.abs(b - Y @ x).max() <= 1e-9 * scale
 
@@ -393,10 +429,10 @@ def test_overflowing_scale_does_not_widen_the_bound(monkeypatch):
     Y = np.array([[1e308, 1e308], [0.0, 1.0]], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)
     calls = _count_solves(monkeypatch, lambda call, x: x + np.array([0.0, 1e-6]))
-    with pytest.raises(SingularSystem) as err:
-        solve(Y, b, labels=["a", "b"], omega=5.0)
+    _, refused = solve_block(Y, b[None], ["a", "b"], 5.0)
     assert len(calls) == 1
-    assert err.value.label == "a"
+    assert list(refused) == [0]
+    assert refused[0].label == "a"
 
 
 def test_nan_residual_is_refused():
@@ -404,9 +440,10 @@ def test_nan_residual_is_refused():
     # residual NaN, which no comparison with the bound accepts.
     Y = np.array([[math.inf, 1.0], [1.0, 1.0]], dtype=complex)
     b = np.array([1.0, 0.0], dtype=complex)
-    with np.errstate(invalid="ignore"), pytest.raises(SingularSystem) as err:
-        solve(Y, b, labels=["a", "b"])
-    assert err.value.label == "a"
+    with np.errstate(invalid="ignore"):
+        _, refused = solve_block(Y, b[None], ["a", "b"], 5.0)
+    assert list(refused) == [0]
+    assert refused[0].label == "a"
 
 
 def test_overflow_in_the_dropped_ground_row_is_not_refused():
@@ -419,12 +456,15 @@ def test_overflow_in_the_dropped_ground_row_is_not_refused():
 def test_zero_rhs_and_empty_system(monkeypatch):
     pattern, Y, _ = _ladder_system()
     calls = _count_solves(monkeypatch)
-    x = solve(Y, np.zeros(pattern.dim, dtype=complex))
+    X, refused = solve_block(Y, np.zeros((1, pattern.dim), dtype=complex), pattern.labels, 5.0)
     assert len(calls) == 1
-    assert np.array_equal(x, np.zeros(pattern.dim))
-    x = solve(np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=complex))
+    assert refused == {}
+    assert np.array_equal(X[0], np.zeros(pattern.dim))
+    X, refused = solve_block(np.zeros((0, 0), dtype=complex),
+                             np.zeros((1, 0), dtype=complex), [], 5.0)
     assert len(calls) == 2
-    assert x.shape == (0,)
+    assert refused == {}
+    assert X.shape == (1, 0)
 
 
 def test_reciprocity_for_rlc_network():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopscope import sweep
-from loopscope.mna import MnaError, SingularSystem, build_pattern, solve
+from loopscope.mna import MnaError, SingularSystem, build_pattern, solve_block
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curves
 from loopscope.sweep import (
@@ -329,8 +329,10 @@ def _oracle_response(pattern, node, grid):
     clamped = np.zeros(len(grid), dtype=bool)
     for i, f in enumerate(grid.freqs):
         omega = 2.0 * math.pi * f
-        x = solve(pattern.G + 1j * omega * pattern.C, b,
-                  labels=pattern.labels, omega=omega)
+        X, refused = solve_block(pattern.G + 1j * omega * pattern.C, b[None],
+                                 pattern.labels, omega)
+        assert refused == {}
+        x = X[0]
         magnitude[i] = abs(x[row])
         clamped[i] = magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x)))
     clamped |= magnitude < MAGNITUDE_FLOOR
