@@ -168,13 +168,11 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
     so a large response is not refused for rounding alone.  There is no
     refinement step.
 
-    Every row is first tested at once against 1e-9 ||b||_inf alone, from
-    one residual product; a non-finite x leaves an inf or NaN residual
-    and always misses.  Only a row that misses is checked for
-    finiteness and then against the scaled bound, with ||Y|| formed at
-    most once per call; a non-finite bound refuses.  An exactly zero
-    pivot stops the first LU, and since every row shares Y's LU, no
-    other row is tried: the whole block is refused.
+    Every row is tested at once against 1e-9 ||b||_inf, from one
+    residual product; ||Y|| is formed only if some row misses, and then
+    once, for all the missed rows together.  A non-finite x or bound
+    always misses.  An exactly zero pivot stops the first LU, and since
+    every row shares Y's LU, the whole block is refused.
 
     Returns X, whose row j solves row j of B, and a dict from each
     refused row to its ``SingularSystem`` at ``omega``.  It names, from
@@ -190,18 +188,21 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
         X[:] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
         R = B - X @ Y.T
-    rnorm = abs(R).max(axis=1, initial=0.0)
-    bnorm = abs(B).max(axis=1, initial=0.0)
-    # A NaN residual misses, and so does an infinite one, which an
-    # infinite b would otherwise pass.
-    miss = ~(rnorm <= _RESIDUAL_RTOL * bnorm) | np.isinf(rnorm)
+        rnorm = abs(R).max(axis=1, initial=0.0)
+        bnorm = abs(B).max(axis=1, initial=0.0)
+        # A NaN residual misses, and so does an infinite one, which an
+        # infinite b would otherwise pass.
+        miss = ~(rnorm <= _RESIDUAL_RTOL * bnorm) | np.isinf(rnorm)
+        if miss.any():
+            scale = abs(Y).sum(axis=1).max() * abs(X[miss]).max(axis=1) + bnorm[miss]
+            miss[miss] = ~(np.isfinite(scale) & (rnorm[miss] <= _RESIDUAL_RTOL * scale))
     refused: dict[int, SingularSystem] = {}
-    if not miss.any():
-        return X, refused
-    ynorm = dependent = None
+    dependent = None
     for j in np.flatnonzero(miss).tolist():
         finite = np.isfinite(X[j])
-        if not finite.all():
+        if finite.all():
+            culprit = abs(R[j]).argmax()
+        else:
             # LAPACK returns NaN, not an error, on a subnormal pivot, and
             # in sound unknowns too, so a non-finite x names the first
             # column of Y that depends on the earlier ones, else its
@@ -210,13 +211,5 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
                 d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
                 dependent = d <= len(d) * np.finfo(np.float64).eps * d.max()
             culprit = (dependent if dependent.any() else ~finite).argmax()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if ynorm is None:
-                    ynorm = abs(Y).sum(axis=1).max()
-                scale = ynorm * abs(X[j]).max() + bnorm[j]
-            if np.isfinite(scale) and rnorm[j] <= _RESIDUAL_RTOL * scale:
-                continue
-            culprit = abs(R[j]).argmax()
         refused[j] = SingularSystem(labels[culprit], omega)
     return X, refused

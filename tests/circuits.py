@@ -109,6 +109,23 @@ Cout out 0 10p
 """
 
 
+def sense_only_node() -> str:
+    """Node n5 is only G1's sense terminal, so its row of Y holds gmin
+    alone: at gmin 1e-320 injection there gives a non-finite response and
+    the node is refused, while every other node's row n5 reads
+    gmin * V(n5) = 0 and solves.  The circuit's own loops grade
+    unstable-risk."""
+    return """sense-only node at gmin 1e-320
+R0 n4 n3 8.63e+10
+G1 0 n4 n5 n3 2.22e-06
+C2 n4 n1 1.96e+11
+R3 n4 n2 9.92e+06
+L4 n1 n3 3.88e-13
+G5 0 n1 0 n1 -4.96
+.end
+"""
+
+
 def resistive_divider() -> str:
     return """resistive divider
 R1 top mid 1k

@@ -482,6 +482,19 @@ def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, 
     assert err == "loopscope: error: no node analysed: all 3 swept node(s) failed to solve\n"
 
 
+@pytest.mark.parametrize("gmin,excluded", [("1e-320", ["n5"]), ("1e-12", [])])
+def test_sense_only_node_is_excluded_alone(tmp_path, capsys, gmin, excluded):
+    # At gmin 1e-320 only the sense-only node n5 fails to solve; the
+    # others are still audited, and the circuit's loops set the exit code.
+    path = write(tmp_path, "sense.cir", circuits.sense_only_node())
+    code, out, err = run_cli(capsys, path, "--all-nodes", "--gmin", gmin)
+    assert code == 2
+    assert err == ""
+    assert [line for line in out.splitlines() if "excluded" in line] == [
+        f"- node {node!r} excluded: singular MNA system at unknown {node!r} "
+        "(omega=6.28319 rad/s)" for node in excluded]
+
+
 def test_opamp_macromodel_gates_on_load(tmp_path, capsys):
     # Healthy compensation passes; a heavy capacitive load drops the main
     # loop below the risk threshold and trips the gating exit code.

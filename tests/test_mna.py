@@ -385,6 +385,28 @@ def test_block_judges_each_row_as_solve_does(monkeypatch):
         assert X[j].tobytes() == expected[j].tobytes()
 
 
+def test_block_mixes_scaled_pass_with_refusal(monkeypatch):
+    # At this frequency the ~1e11 V solution at ``in`` misses 1e-9 ||b||
+    # and passes only the scaled bound; the second row's solve is off by
+    # 1e-3 in unknown ``in``, past its own scaled bound; the third row is
+    # clean.  One block gives each row the verdict a one-row block does.
+    pattern = build_pattern(_net(circuits.cmos_input_stage()))
+    omega = 2 * math.pi * make_grid(1.0, 1e10, 100).freqs[2]
+    Y = pattern.G + 1j * omega * pattern.C
+    B = np.eye(pattern.dim, dtype=complex)[[pattern.row_of_node(node)
+                                            for node in ("in", "out", "out")]]
+    assert np.abs(B[0] - Y @ np.linalg.solve(Y, B[0])).max() > 1e-9
+    expected = [solve_block(Y, b[None], pattern.labels, omega)[0][0] for b in B]
+    calls = _count_solves(
+        monkeypatch, lambda call, x: x + 1e-3 * np.eye(len(x))[0] if call == 2 else x)
+    X, refused = solve_block(Y, B, pattern.labels, omega)
+    assert len(calls) == 3
+    assert list(refused) == [1]
+    assert (refused[1].label, refused[1].omega) == ("out", omega)
+    for j in (0, 2):
+        assert X[j].tobytes() == expected[j].tobytes()
+
+
 def test_zero_pivot_refuses_the_whole_block_after_one_lu(monkeypatch):
     # Every row shares Y's LU, so an exactly zero pivot stops the first
     # row's LU and refuses every row, all named from one QR of Y.

@@ -250,6 +250,30 @@ def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
     assert list(swept.errors) == ["m1", "s3"]
 
 
+def test_sense_only_node_is_refused_alone_on_a_real_netlist(monkeypatch):
+    # No patched solve: at gmin 1e-320, n5 is refused at the first
+    # frequency after its one LU, and the other four nodes read bitwise
+    # what a sweep of them alone reads.
+    pattern = build_pattern(_net(circuits.sense_only_node()), gmin=1e-320)
+    grid = make_grid(1.0, 1e10, 20)
+    lus = []
+    lu = np.linalg.solve
+
+    def counted_lu(Y, b):
+        lus.append(pattern.labels[int(np.flatnonzero(b)[0])])
+        return lu(Y, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_lu)
+    swept = sweep_all_nodes(pattern, grid)
+    assert swept.errors == {"n5": "singular MNA system at unknown 'n5' (omega=6.28319 rad/s)"}
+    assert lus.count("n5") == 1
+    assert swept.nodes == ["n4", "n3", "n1", "n2"]
+    alone = sweep_all_nodes(pattern, grid, nodes=swept.nodes)
+    assert alone.errors == {}
+    assert swept.magnitude.tobytes() == alone.magnitude.tobytes()
+    assert np.array_equal(swept.clamped, alone.clamped)
+
+
 def _row_curve(grid, magnitude, clamped):
     """One node's stability curve computed from that node's row alone: the
     reference the whole-block expression of ``stability_curves`` must
