@@ -11,9 +11,10 @@ closed-form second-order relations.  No feedback loop is ever broken.
 The pipeline's entry points (``parse``, ``elaborate``, ``audit``, the
 renderers) are re-exported here; every other public name imports from
 its own module (``loopscope.stability.Peak``, ...).  ``import loopscope``
-loads only the netlist front end, which needs no numpy.  The numeric
-layers ``mna``, ``sweep``, ``stability``, ``report`` and ``cli`` (home of
-``audit``), and the names exported from them, load on first access.
+loads only the netlist front end, which needs neither numpy nor
+``dataclasses``.  The numeric layers ``mna``, ``sweep``, ``stability``,
+``report`` and ``cli`` (home of ``audit``), and the names exported from
+them, load on first access.
 """
 
 import importlib

@@ -27,10 +27,11 @@ only assignments.  Parameter names are global, also when set inside a
 non-ground names.  Every parse or elaboration failure raises
 ``NetlistError``.
 
-Values take standard magnitude suffixes (t g meg k m u n p f, case
-insensitive) plus optional trailing unit letters after a suffix
-(``2.2uF``, ``1kOhm``).  A value may also be a parameter reference,
-written ``{name}`` or as a bare identifier, resolved at elaboration.
+Values take standard magnitude suffixes (t g meg k mil m u n p f, case
+insensitive; ``mil`` is 25.4e-6) plus optional trailing unit letters
+after a suffix (``2.2uF``, ``1kOhm``).  A value may also be a parameter
+reference, written ``{name}`` or as a bare identifier, resolved at
+elaboration.
 
 Names are case-insensitive.  Node ``0`` is ground; ``gnd`` is accepted
 as an alias.  ``Netlist.nodes`` lists the non-ground nodes in first-seen
@@ -43,11 +44,9 @@ the first letter of its last dot segment, so a flat netlist re-parses to
 the same circuit.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 
@@ -76,14 +75,15 @@ class ElementKind(Enum):
 
 # Elements whose terminals constrain each other's voltages; used for the
 # floating-node check.  Current-source terminals (I, G, F outputs and all
-# sense pairs) do not tie a node down.
+# sense pairs) do not tie a node down, except a VCCS sensing its own
+# output pair: its stamp is the conductance gm between the pair.
 _CONDUCTIVE_KINDS = frozenset({
     ElementKind.RESISTOR, ElementKind.CAPACITOR, ElementKind.INDUCTOR,
     ElementKind.VSOURCE, ElementKind.VCVS, ElementKind.CCVS,
 })
 
 _SUFFIXES = {
-    "t": 1e12, "g": 1e9, "k": 1e3,
+    "t": 1e12, "g": 1e9, "meg": 1e6, "k": 1e3, "mil": 25.4e-6,
     "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15,
 }
 
@@ -105,12 +105,10 @@ def parse_value(token: str) -> float:
     rest = token[m.end():]
     if rest:
         lower = rest.lower()
-        if lower.startswith("meg"):
-            mult, tail = 1e6, rest[3:]
-        elif lower[0] in _SUFFIXES:
-            mult, tail = _SUFFIXES[lower[0]], rest[1:]
-        else:
+        suffix = lower[:3] if lower[:3] in ("meg", "mil") else lower[0]
+        if suffix not in _SUFFIXES:
             raise NetlistError(f"unrecognized suffix {rest!r} in {token!r}")
+        mult, tail = _SUFFIXES[suffix], rest[len(suffix):]
         if tail and not tail.isalpha():
             raise NetlistError(f"trailing garbage {tail!r} in {token!r}")
         value *= mult
@@ -139,39 +137,31 @@ def _parse_value_or_ref(token: str, line: int) -> float | str:
         raise NetlistError(f"bad value token {token!r}", line) from None
 
 
-@dataclass
-class Element:
-    name: str
-    kind: ElementKind
-    nodes: list[str]
-    value: float | str          # str until parameters are resolved
-    control_element: str | None = None  # CCCS/CCVS: name of sensed V source
+# ``nodes`` is a list; ``value`` is a str until parameters are resolved;
+# ``control_element`` names the V source a CCCS/CCVS senses.
+Element = namedtuple("Element", "name kind nodes value control_element", defaults=[None])
+Instance = namedtuple("Instance", "name nodes subckt line", defaults=[0])
 
 
-@dataclass
-class Instance:
-    name: str
-    nodes: list[str]
-    subckt: str
-    line: int = 0
-
-
-@dataclass
 class Subcircuit:
-    name: str
-    pins: list[str]
-    elements: list[Element] = field(default_factory=list)
-    instances: list[Instance] = field(default_factory=list)
+    """A ``.subckt`` definition: its pins and the cards up to ``.ends``."""
+
+    def __init__(self, name: str, pins: list[str]):
+        self.name, self.pins = name, pins
+        self.elements: list[Element] = []
+        self.instances: list[Instance] = []
 
 
-@dataclass
 class Netlist:
-    title: str
-    elements: list[Element] = field(default_factory=list)
-    instances: list[Instance] = field(default_factory=list)
-    params: dict[str, float | str] = field(default_factory=dict)
-    subcircuits: dict[str, Subcircuit] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    """A parsed netlist; after :func:`elaborate`, a flat one."""
+
+    def __init__(self, title: str):
+        self.title = title
+        self.elements: list[Element] = []
+        self.instances: list[Instance] = []
+        self.params: dict[str, float | str] = {}
+        self.subcircuits: dict[str, Subcircuit] = {}
+        self.warnings: list[str] = []
 
     @property
     def nodes(self) -> list[str]:
@@ -238,7 +228,7 @@ def parse(source: str) -> Netlist:
     definitions, instances and unresolved parameter references; run
     :func:`elaborate` to obtain a flat circuit."""
     title, lines = _logical_lines(source)
-    net = Netlist(title=title)
+    net = Netlist(title)
     # The open scope: the netlist itself, or the .subckt being defined.
     scope: Netlist | Subcircuit = net
     # First line of every .param, .subckt and element name.  Elements are
@@ -278,7 +268,7 @@ def parse(source: str) -> Netlist:
                     if pin.lower() in pins_seen:
                         raise NetlistError(f".subckt {name!r} repeats pin {pin!r}", lineno)
                     pins_seen.add(pin.lower())
-                scope = Subcircuit(name=name, pins=pins)
+                scope = Subcircuit(name, pins)
                 continue
             if word == ".ends":
                 if scope is net:
@@ -395,7 +385,7 @@ def elaborate(net: Netlist) -> Netlist:
     parameter resolution, then a depth-first walk taking each scope's
     elements before its instances, then flattened-name collisions."""
     params = _resolve_params(net.params)
-    flat = Netlist(title=net.title, warnings=list(net.warnings))
+    flat = Netlist(net.title)
 
     def walk(scope: Netlist | Subcircuit, prefix: str, pins: dict[str, str],
              stack: tuple[str, ...]):
@@ -446,7 +436,7 @@ def elaborate(net: Netlist) -> Netlist:
                 f"flattened element name {elem.name!r} collides with an existing element")
         seen.add(key)
 
-    flat.warnings.extend(_floating_node_warnings(flat))
+    flat.warnings = [*net.warnings, *_floating_node_warnings(flat)]
     return flat
 
 
@@ -455,9 +445,10 @@ def _floating_node_warnings(net: Netlist) -> list[str]:
     elements; anything else only stays solvable thanks to gmin."""
     adjacency: dict[str, set[str]] = {}
     for elem in net.elements:
-        if elem.kind not in _CONDUCTIVE_KINDS:
+        a, b, *sense = (node.lower() for node in elem.nodes)
+        if elem.kind not in _CONDUCTIVE_KINDS and not (
+                elem.kind is ElementKind.VCCS and elem.value != 0 and {*sense} == {a, b}):
             continue
-        a, b = (node.lower() for node in elem.nodes[:2])
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
     reached = {"0"}

@@ -32,10 +32,14 @@ def test_public_names_resolve_and_cover_the_readme_example():
 LAZY_PROBE = """
 import sys
 import loopscope
-assert "numpy" not in sys.modules, "import loopscope imported numpy"
+for name in ("numpy", "dataclasses", "inspect"):
+    assert name not in sys.modules, f"import loopscope imported {name}"
 with open(sys.argv[1], encoding="utf-8") as fh:
-    loopscope.elaborate(loopscope.parse(fh.read()))
-assert "numpy" not in sys.modules, "numpy was imported"
+    net = loopscope.parse(fh.read())
+assert net.subcircuits, "the probe netlist has no subcircuit"
+loopscope.elaborate(net)
+for name in ("numpy", "dataclasses", "inspect"):
+    assert name not in sys.modules, f"parse or elaborate imported {name}"
 assert loopscope.stability.Peak.__module__ == "loopscope.stability"
 assert loopscope.report.StabilityReport.__module__ == "loopscope.report"
 assert loopscope.audit is sys.modules["loopscope.cli"].audit
@@ -53,7 +57,8 @@ else:
 
 
 def test_netlist_front_end_loads_without_numpy():
-    # The numeric layers load on first access; parsing never needs them.
+    # The numeric layers load on first access; parsing never needs them,
+    # nor dataclasses and the inspect machinery it pulls in.
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_PROBE, str(CIRCUITS_DIR / "opamp_buffer.cir")],
         capture_output=True, text=True, env=src_env())

@@ -486,10 +486,14 @@ def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, 
 def test_sense_only_node_is_excluded_alone(tmp_path, capsys, gmin, excluded):
     # At gmin 1e-320 only the sense-only node n5 fails to solve; the
     # others are still audited, and the circuit's loops set the exit code.
+    # G5 senses its own output pair, a conductance from n1 to ground, so
+    # n5 is the one node without a conductive path at either gmin.
     path = write(tmp_path, "sense.cir", circuits.sense_only_node())
     code, out, err = run_cli(capsys, path, "--all-nodes", "--gmin", gmin)
     assert code == 2
     assert err == ""
+    assert [line for line in out.splitlines() if "conductive path" in line] == [
+        "- node 'n5' has no conductive path to ground"]
     assert [line for line in out.splitlines() if "excluded" in line] == [
         f"- node {node!r} excluded: singular MNA system at unknown {node!r} "
         "(omega=6.28319 rad/s)" for node in excluded]

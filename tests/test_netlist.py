@@ -43,6 +43,13 @@ def element(net, name):
     ("0.5t", 0.5e12),
     ("-3n", -3e-9),
     ("+.5g", 0.5e9),
+    # SPICE reads "mil" (a thousandth of an inch) before milli, as it
+    # reads "meg" before milli.
+    ("1mil", 25.4e-6),
+    ("2MIL", 50.8e-6),
+    ("1mils", 25.4e-6),
+    ("1mF", 1e-3),
+    ("1meg", 1e6),
 ])
 def test_parse_value(token, expected):
     assert parse_value(token) == pytest.approx(expected, rel=1e-15)
@@ -54,6 +61,7 @@ REJECTED_VALUES = {
     "": "not a number: ''",
     "meg": "not a number: 'meg'",
     "1k9": "trailing garbage '9' in '1k9'",
+    "1mil2": "trailing garbage '2' in '1mil2'",
     "1..2": "unrecognized suffix '.2' in '1..2'",
     "1e": "unrecognized suffix 'e' in '1e'",
     "--1": "not a number: '--1'",
@@ -70,9 +78,9 @@ def test_parse_value_rejects(token):
 
 @given(mantissa=st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False),
-       suffix=st.sampled_from(["t", "g", "meg", "k", "m", "u", "n", "p", "f", ""]))
+       suffix=st.sampled_from(["t", "g", "meg", "k", "mil", "m", "u", "n", "p", "f", ""]))
 def test_parse_value_matches_plain_multiplication(mantissa, suffix):
-    mult = {"t": 1e12, "g": 1e9, "meg": 1e6, "k": 1e3, "m": 1e-3,
+    mult = {"t": 1e12, "g": 1e9, "meg": 1e6, "k": 1e3, "mil": 25.4e-6, "m": 1e-3,
             "u": 1e-6, "n": 1e-9, "p": 1e-12, "f": 1e-15, "": 1.0}[suffix]
     assert parse_value(repr(mantissa) + suffix) == mantissa * mult
 
@@ -432,6 +440,21 @@ def test_elaborate_floating_node_warning_for_isource_only_node():
     assert not any("'b'" in w for w in net.warnings)
 
 
+@pytest.mark.parametrize("cards,floating", [
+    ("G1 a 0 a 0 1m", []),            # a conductance of 1 mS from a to ground
+    ("G1 a 0 0 a 1m", []),            # sense pair reversed: -1 mS, still a path
+    ("G1 0 a 0 a -4.96", []),
+    ("G1 a 0 a 0 0", ["a"]),          # zero gain stamps nothing
+    (".param gm=0\nG1 a 0 a 0 {gm}", ["a"]),
+    ("G1 a 0 a b 1m", ["a"]),         # senses another pair: a current source
+    ("G1 a 0 b 0 1m", ["a"]),
+])
+def test_floating_node_check_counts_a_self_sensing_vccs(cards, floating):
+    net = elaborate(parse(f"t\n{cards}\nR1 b 0 1k\n.end\n"))
+    assert net.warnings == [f"node {node!r} has no conductive path to ground"
+                            for node in floating]
+
+
 def test_elaborate_positive_value_check_through_params():
     with pytest.raises(NetlistError, match="^element 'R1' value must be strictly positive$"):
         elaborate(parse("t\n.param bad=0\nR1 a 0 {bad}\n.end\n"))
@@ -452,6 +475,25 @@ R1 p q 2k
                        match=r"^flattened element name 'X1\.R1' collides with an existing "
                              "element$"):
         elaborate(parse(src))
+
+
+def test_netlists_and_subcircuits_never_share_containers():
+    # Each Netlist and Subcircuit builds its own lists and dicts, so one
+    # parse never sees another's cards, parameters or warnings.
+    source = SUB.replace(".end\n", ".subckt pair p\nX2 p 0 opamp\n.ends\n"
+                                    ".param g=1\n.option x\n.end\n")
+    nets = [parse(source), parse(source)]
+    nets += [elaborate(net) for net in nets]
+    scopes = [*nets, *(sub for net in nets[:2] for sub in net.subcircuits.values())]
+    containers = [getattr(scope, field) for scope in scopes
+                  for field in ("elements", "instances", "params", "warnings")
+                  if hasattr(scope, field)]
+    assert len(containers) == 4 * 4 + 4 * 2
+    assert len({id(c) for c in containers}) == len(containers)
+    assert [len(net.elements) for net in nets] == [1, 1, 3, 3]
+    assert [len(net.warnings) for net in nets] == [1, 1, 1, 1]
+    fresh = parse("t\nR1 a 0 1k\n.end\n")
+    assert (len(fresh.elements), fresh.instances, fresh.params, fresh.warnings) == (1, [], {}, [])
 
 
 def test_elaborate_idempotent():
