@@ -25,8 +25,7 @@ from .netlist import NetlistError, elaborate, parse, parse_value
 
 # Name -> numeric layer that defines it; the layer loads on first access.
 _LAZY = {
-    "audit": "cli", "SingularSystem": "mna",
-    "make_grid": "sweep", "BadRange": "sweep",
+    "audit": "cli", "make_grid": "sweep", "BadRange": "sweep",
     "render_text": "report", "render_json": "report", "render_curves_csv": "report",
 }
 _LAYERS = frozenset({"mna", "sweep", "stability", "report", "cli"})

@@ -45,18 +45,6 @@ class MnaError(Exception):
     pass
 
 
-class SingularSystem(MnaError):
-    """Singular (or numerically hopeless) system; names the unknown whose
-    pivot vanished so floating nodes and source loops are identifiable,
-    or, for a finite solution that misses the residual bound, the worst
-    residual row, at the angular frequency omega."""
-
-    def __init__(self, label: str, omega: float):
-        self.label = label
-        self.omega = omega
-        super().__init__(f"singular MNA system at unknown {label!r} (omega={omega:g} rad/s)")
-
-
 @dataclass
 class MnaPattern:
     """Frequency-independent MNA matrices for one elaborated netlist:
@@ -158,8 +146,7 @@ def _control_branch(vsource_rows: dict[str, int], elem: Element) -> int:
                        f"got {elem.control_element!r}") from None
 
 
-def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
-                omega: float) -> tuple[np.ndarray, dict[int, SingularSystem]]:
+def solve_block(Y: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     """Solve Y x = b for each row b of B, one dense LU with partial
     pivoting per row, and judge every solution by one rule: x is accepted
     iff it is finite and its normwise backward error (Rigal & Gaches
@@ -175,11 +162,11 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
     every row shares Y's LU, the whole block is refused.
 
     Returns X, whose row j solves row j of B, and a dict from each
-    refused row to its ``SingularSystem`` at ``omega``.  It names, from
-    ``labels`` (one per unknown), the unknown of a dependent column of Y
-    (from at most one QR of Y per call), else the first non-finite entry
-    of x, or, for a finite x, the worst residual row.  A refused row of
-    X holds no solution."""
+    refused row to the index of the unknown it blames: a dependent
+    column of Y (from at most one QR of Y per call), else the first
+    non-finite entry of x, or, for a finite x, the worst residual row,
+    so floating nodes and source loops are identifiable.  A refused row
+    of X holds no solution."""
     X = np.empty(B.shape, np.result_type(Y, B, 1.0))
     try:
         for j, b in enumerate(B):
@@ -196,7 +183,7 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
         if miss.any():
             scale = abs(Y).sum(axis=1).max() * abs(X[miss]).max(axis=1) + bnorm[miss]
             miss[miss] = ~(np.isfinite(scale) & (rnorm[miss] <= _RESIDUAL_RTOL * scale))
-    refused: dict[int, SingularSystem] = {}
+    refused: dict[int, int] = {}
     dependent = None
     for j in np.flatnonzero(miss).tolist():
         finite = np.isfinite(X[j])
@@ -211,5 +198,5 @@ def solve_block(Y: np.ndarray, B: np.ndarray, labels: list[str],
                 d = np.abs(np.diagonal(np.linalg.qr(Y, mode="r")))
                 dependent = d <= len(d) * np.finfo(np.float64).eps * d.max()
             culprit = (dependent if dependent.any() else ~finite).argmax()
-        refused[j] = SingularSystem(labels[culprit], omega)
+        refused[j] = int(culprit)
     return X, refused

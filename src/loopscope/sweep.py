@@ -15,7 +15,7 @@ the audit, gets no further solves and has no row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,16 @@ class BadRange(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Uniform-in-log frequency grid, endpoints included.  Two grids are
-    equal when their range and density are: ``make_grid`` derives the
-    frequencies from those alone."""
+    """Uniform-in-log frequency grid, endpoints included."""
 
     f_start: float
     f_stop: float
     points_per_decade: int
-    freqs: np.ndarray = field(compare=False)
+    freqs: np.ndarray
     # uniform spacing of ln(f), == ln(10)/ppd for whole decades
-    log_step: float = field(compare=False)
+    log_step: float
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -117,7 +115,7 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     unit[range(len(rows)), rows] = 1.0
     magnitude = np.zeros((len(rows), len(grid)))
     clamped = np.zeros(magnitude.shape, dtype=bool)
-    failed: dict[int, str] = {}  # index into rows -> first SingularSystem
+    failed: dict[int, str] = {}  # index into rows -> its first refusal
     omegas = 2.0 * math.pi * grid.freqs
     with np.errstate(over="ignore"):
         wc_max = omegas * abs(C).max(initial=0.0)
@@ -140,9 +138,10 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
         if not live.size:
             break
         np.multiply(omega, C, out=wC)
-        X, refused = solve_block(Y, B, labels=labels, omega=omega)
+        X, refused = solve_block(Y, B)
         if refused:
-            failed.update((int(live[j]), str(exc)) for j, exc in refused.items())
+            failed.update((int(live[j]), f"singular MNA system at unknown {labels[u]!r} "
+                           f"(omega={omega:g} rad/s)") for j, u in refused.items())
             kept = [j for j in range(len(live)) if j not in refused]
             live, X = live[kept], X[kept]
             B, at = unit[live], (np.arange(len(live)), rows[live])

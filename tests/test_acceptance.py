@@ -218,7 +218,7 @@ def test_criterion_5_properties_and_golden():
         w = 2 * math.pi * f_hz
         B = np.zeros((2, pat.dim), dtype=complex)
         B[[0, 1], [pat.row_of_node("a"), pat.row_of_node("c")]] = 1.0
-        (xa, xc), refused = solve_block(pat.G + 1j * w * pat.C, B, pat.labels, w)
+        (xa, xc), refused = solve_block(pat.G + 1j * w * pat.C, B)
         assert refused == {}
         v_c_a = xa[pat.row_of_node("c")]
         v_a_c = xc[pat.row_of_node("a")]

@@ -13,7 +13,7 @@ README = Path(__file__).parent.parent / "README.md"
 
 PUBLIC = {
     "__version__", "parse", "elaborate", "parse_value", "NetlistError",
-    "audit", "SingularSystem", "make_grid", "BadRange",
+    "audit", "make_grid", "BadRange",
     "render_text", "render_json", "render_curves_csv",
 }
 
@@ -27,6 +27,8 @@ def test_public_names_resolve_and_cover_the_readme_example():
     block = re.search(r"from loopscope import \(([^)]*)\)", library)
     imported = {name.strip() for name in block.group(1).split(",")}
     assert imported and imported <= PUBLIC
+    count = re.search(r"The package exports (\d+) names \(`loopscope\.__all__`\)", library)
+    assert count and int(count.group(1)) == len(loopscope.__all__)
 
 
 LAZY_PROBE = """

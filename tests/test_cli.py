@@ -167,6 +167,18 @@ def test_bad_numeric_option_is_a_usage_error(capsys, option, value, bound):
     assert f"argument {option}: expected a finite number {bound}, got {value!r}" in err
 
 
+@pytest.mark.parametrize("option,value,error", [
+    ("--fstart", "1x", "unrecognized suffix 'x' in '1x'"),
+    ("--param", "foo", "expected NAME=VALUE, got 'foo'"),
+    ("--param", "=3", "expected NAME=VALUE, got '=3'"),
+])
+def test_malformed_option_is_a_usage_error(capsys, option, value, error):
+    with pytest.raises(SystemExit) as exc:
+        main([str(CIRCUITS_DIR / "rlc_loop.cir"), "--all-nodes", option, value])
+    assert exc.value.code == 1
+    assert f"argument {option}: {error}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option,value,bound", [
     *[(name, value, "> 0") for name in ("floor", "gap")
       for value in (math.nan, math.inf, 0.0, -1.0)],

@@ -458,11 +458,16 @@ def test_refine_symmetric_samples():
     assert freq == pytest.approx(math.exp(curve.log_freq[1]) / (2 * math.pi), rel=1e-12)
 
 
-def test_refine_collinear_falls_back_to_sample():
-    curve = _tiny_curve([-1.0, -2.0, -3.0])
-    freq, value = refine_peak(curve.log_freq, curve.p[0], 1)
-    assert value == -2.0
-    assert freq == pytest.approx(math.exp(curve.log_freq[1]) / (2 * math.pi), rel=1e-12)
+@pytest.mark.parametrize("p,index", [([-1.0, -5.0, -2.0], 0), ([-1.0, -5.0, -2.0], 2),
+                                     ([-1.0, -2.0, -3.0], 1)],
+                         ids=["first", "last", "collinear"])
+def test_refine_falls_back_to_sample(p, index):
+    # A row end has no neighbour on one side (index 0 must not read
+    # p[-1]), and three collinear samples have no vertex.
+    curve = _tiny_curve(p)
+    freq, value = refine_peak(curve.log_freq, curve.p[0], index)
+    assert value == p[index]
+    assert freq == pytest.approx(math.exp(curve.log_freq[index]) / (2 * math.pi), rel=1e-12)
 
 
 def test_refined_frequency_accuracy_at_100_ppd():

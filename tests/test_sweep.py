@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopscope import sweep
-from loopscope.mna import MnaError, SingularSystem, build_pattern, solve_block
+from loopscope.mna import MnaError, build_pattern, solve_block
 from loopscope.netlist import elaborate, parse
 from loopscope.stability import stability_curves
 from loopscope.sweep import (
@@ -170,15 +170,15 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
 
 
 def test_one_solve_per_node_and_frequency(monkeypatch):
-    # Frequency-major: each frequency's Y is solved once as a block of
-    # every node's unit row, in node order, by one LU per node, and every
-    # LU is handed the same work matrix.
+    # Frequency-major: each frequency's Y, whose imaginary part is w*C,
+    # is solved once as a block of every node's unit row, in node order,
+    # by one LU per node, and every LU is handed the same work matrix.
     blocks, lus = [], []
     block, lu = sweep.solve_block, np.linalg.solve
 
-    def counted_block(Y, B, **kwargs):
-        blocks.append((kwargs["omega"], [int(np.flatnonzero(b)[0]) for b in B]))
-        return block(Y, B, **kwargs)
+    def counted_block(Y, B):
+        blocks.append((Y.imag.tobytes(), [int(np.flatnonzero(b)[0]) for b in B]))
+        return block(Y, B)
 
     def counted_lu(Y, b):
         lus.append((int(np.flatnonzero(b)[0]), Y))
@@ -191,26 +191,30 @@ def test_one_solve_per_node_and_frequency(monkeypatch):
     swept = sweep_all_nodes(pattern, grid)
     assert len(grid) == 31 and len(swept.nodes) == pattern.n_nodes == 7
     omegas = (2 * math.pi * grid.freqs).tolist()
-    assert blocks == [(omega, list(range(7))) for omega in omegas]
+    assert blocks == [((omega * pattern.C).tobytes(), list(range(7))) for omega in omegas]
     assert [row for row, _ in lus] == list(range(7)) * 31
     assert all(Y is lus[0][1] for _, Y in lus)
 
 
-def _failing_solve(monkeypatch, pattern, fail_at):
+def _failing_solve(monkeypatch, pattern, grid, fail_at):
     """Patch the sweep's block solve to refuse the row of each node in
-    ``fail_at`` at its omega, leaving NaN in that row of X; returns the
-    (node, omega) of every row solved."""
+    ``fail_at`` at its omega, blaming that node and leaving NaN in that
+    row of X; returns the (node, omega) of every row solved.  A block's
+    omega is the grid's one whose w*C is bitwise Y's imaginary part."""
     calls = []
     block = sweep.solve_block
+    omegas = (2 * math.pi * grid.freqs).tolist()
 
-    def failing(Y, B, **kwargs):
-        X, refused = block(Y, B, **kwargs)
+    def failing(Y, B):
+        X, refused = block(Y, B)
+        (omega,) = [w for w in omegas if (w * pattern.C).tobytes() == Y.imag.tobytes()]
         for j, b in enumerate(B):
-            node = pattern.labels[int(np.flatnonzero(b)[0])]
-            calls.append((node, kwargs["omega"]))
-            if fail_at.get(node) == kwargs["omega"]:
+            row = int(np.flatnonzero(b)[0])
+            node = pattern.labels[row]
+            calls.append((node, omega))
+            if fail_at.get(node) == omega:
                 X[j] = np.nan
-                refused[j] = SingularSystem(node, kwargs["omega"])
+                refused[j] = row
         return X, refused
 
     monkeypatch.setattr(sweep, "solve_block", failing)
@@ -222,9 +226,10 @@ def test_failing_node_stops_alone_and_leaves_the_others_bitwise(monkeypatch):
     grid = make_grid(1.0, 1000.0, 10)
     clean = sweep_all_nodes(pattern, grid)
     omegas = (2 * math.pi * grid.freqs).tolist()
-    calls = _failing_solve(monkeypatch, pattern, {"s2": omegas[15]})
+    calls = _failing_solve(monkeypatch, pattern, grid, {"s2": omegas[15]})
     swept = sweep_all_nodes(pattern, grid)
-    assert swept.errors == {"s2": str(SingularSystem("s2", omegas[15]))}
+    assert swept.errors == {
+        "s2": f"singular MNA system at unknown 's2' (omega={omegas[15]:g} rad/s)"}
     assert "s2" not in swept.nodes
     assert [omega for node, omega in calls if node == "s2"] == omegas[:16]
     others = [k for k, node in enumerate(clean.nodes) if node != "s2"]
@@ -242,7 +247,7 @@ def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
     pattern = build_pattern(_net(circuits.ladder(3)))
     grid = make_grid(1.0, 1000.0, 10)
     omegas = (2 * math.pi * grid.freqs).tolist()
-    _failing_solve(monkeypatch, pattern, {"m1": omegas[20], "s3": omegas[3]})
+    _failing_solve(monkeypatch, pattern, grid, {"m1": omegas[20], "s3": omegas[3]})
     swept = sweep_all_nodes(pattern, grid, nodes=["s3", "m1", "in"])
     assert list(swept.errors) == ["s3", "m1"]
     assert swept.nodes == ["in"]
@@ -296,7 +301,7 @@ def test_stability_curves_match_per_row_reference_bitwise(case, monkeypatch):
         pattern = build_pattern(_net(circuits.ladder(3)))
         grid = make_grid(1.0, 1000.0, 10)
         omegas = (2 * math.pi * grid.freqs).tolist()
-        _failing_solve(monkeypatch, pattern, {"s2": omegas[15]})
+        _failing_solve(monkeypatch, pattern, grid, {"s2": omegas[15]})
     swept = sweep_all_nodes(pattern, grid)
     rows = {"ladder10": 21, "opamp": 5, "one_node_fails": 6}[case]
     assert len(swept.nodes) == rows and swept.magnitude.shape == (rows, len(grid))
@@ -353,8 +358,7 @@ def _oracle_response(pattern, node, grid):
     clamped = np.zeros(len(grid), dtype=bool)
     for i, f in enumerate(grid.freqs):
         omega = 2.0 * math.pi * f
-        X, refused = solve_block(pattern.G + 1j * omega * pattern.C, b[None],
-                                 pattern.labels, omega)
+        X, refused = solve_block(pattern.G + 1j * omega * pattern.C, b[None])
         assert refused == {}
         x = X[0]
         magnitude[i] = abs(x[row])
