@@ -69,10 +69,10 @@ class LoopGroup:
 class StabilityReport:
     netlist_title: str
     grid: FrequencyGrid
-    groups: list[LoopGroup] = field(default_factory=list)
-    zeros: list[Peak] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    per_node_errors: dict[str, str] = field(default_factory=dict)
+    groups: list[LoopGroup]
+    zeros: list[Peak]
+    warnings: list[str]
+    per_node_errors: dict[str, str]
 
     @property
     def worst_severity(self) -> Severity | None:
@@ -80,39 +80,27 @@ class StabilityReport:
         return min(graded) if graded else None
 
 
-def group_loops(peaks: list[Peak], rel_gap: float = REL_GAP_DEFAULT) -> list[LoopGroup]:
-    """Single-linkage clustering of pole peaks on ln(natural frequency):
-    sort by frequency and cut wherever consecutive peaks are more than
-    ``1 + rel_gap`` apart, so the loops come out in increasing frequency.
-    Input order never affects the result."""
-    for pk in peaks:
-        if pk.kind is not PeakKind.COMPLEX_POLE:
-            raise ValueError(f"group_loops takes pole peaks only, got {pk.kind}")
-    if not peaks:
-        return []
-    cut = math.log1p(rel_gap)
-    ordered = sorted(peaks, key=lambda pk: (pk.natural_freq, pk.node, -abs(pk.p_value)))
-    clusters: list[list[Peak]] = [[ordered[0]]]
-    for prev, here in zip(ordered, ordered[1:]):
-        if math.log(here.natural_freq / prev.natural_freq) > cut:
-            clusters.append([])
-        clusters[-1].append(here)
-    return [LoopGroup(cluster) for cluster in clusters]
-
-
 def build_report(title: str, grid: FrequencyGrid, peaks: list[Peak],
                  warnings: list[str] | None = None,
                  per_node_errors: dict[str, str] | None = None,
                  rel_gap: float = REL_GAP_DEFAULT) -> StabilityReport:
-    """Split peaks into loop groups and zero listings and wrap them up."""
-    poles = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE]
+    """Cluster the pole peaks into loops and list the zeros apart.  Loops
+    are single-linkage clusters on ln(natural frequency): sort the poles
+    by frequency and cut wherever consecutive ones are more than
+    ``1 + rel_gap`` apart, so the loops come out in increasing frequency.
+    Input order never affects the result."""
+    poles = sorted((pk for pk in peaks if pk.kind is PeakKind.COMPLEX_POLE),
+                   key=lambda pk: (pk.natural_freq, pk.node, -abs(pk.p_value)))
+    cut = math.log1p(rel_gap)
+    clusters: list[list[Peak]] = []
+    for i, here in enumerate(poles):
+        if i == 0 or math.log(here.natural_freq / poles[i - 1].natural_freq) > cut:
+            clusters.append([])
+        clusters[-1].append(here)
     zeros = [pk for pk in peaks if pk.kind is PeakKind.COMPLEX_ZERO]
     zeros.sort(key=lambda pk: (float(f"{pk.natural_freq:.2E}"), pk.node))
-    return StabilityReport(netlist_title=title, grid=grid,
-                           groups=group_loops(poles, rel_gap=rel_gap),
-                           zeros=zeros,
-                           warnings=list(warnings or []),
-                           per_node_errors=dict(per_node_errors or {}))
+    return StabilityReport(title, grid, [LoopGroup(c) for c in clusters], zeros,
+                           list(warnings or []), dict(per_node_errors or {}))
 
 
 def format_eng_freq(freq_hz: float) -> str:

@@ -18,7 +18,7 @@ import pytest
 from loopscope import audit
 from loopscope.mna import build_pattern, solve_block
 from loopscope.netlist import elaborate, parse
-from loopscope.report import build_report, group_loops, render_text
+from loopscope.report import build_report, render_text
 from loopscope.stability import (
     Peak,
     PeakFlag,
@@ -232,11 +232,12 @@ def test_criterion_5_properties_and_golden():
     for ra, rb in zip(s1.magnitude, s2.magnitude):
         assert np.array_equal(ra, rb)
     peaks = [Peak(n, PeakKind.COMPLEX_POLE, f, -d) for n, d, f in SAMPLE_AUDIT_ROWS]
-    base = group_loops(peaks)
+    base = build_report("t", grid, peaks).groups
     rng = np.random.default_rng(7)
     shuffled = list(peaks)
     rng.shuffle(shuffled)
-    assert [[m.node for m in g.members] for g in group_loops(shuffled)] == \
+    again = build_report("t", grid, shuffled).groups
+    assert [[m.node for m in g.members] for g in again] == \
            [[m.node for m in g.members] for g in base]
 
     # (e) golden-file report with the verbatim reference row.

@@ -1,5 +1,6 @@
 """Command-line behaviour: run modes, outputs, exit codes."""
 
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from loopscope import cli
 from loopscope.cli import main
-from loopscope.netlist import elaborate, parse
+from loopscope.netlist import elaborate, parse, parse_value
 from loopscope.report import render_curves_csv
 from loopscope.sweep import make_grid
 
@@ -191,6 +192,27 @@ def test_audit_refuses_bad_numbers_before_sweeping(monkeypatch, option, value, b
     net = elaborate(parse((CIRCUITS_DIR / "rlc_loop.cir").read_text(encoding="utf-8")))
     with pytest.raises(ValueError, match=f"^{option} must be a finite number {bound}, got "):
         cli.audit(net, make_grid(50.0, 500e3, 100), **{option: value})
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # The CLI restates each default, and its help text states it again.
+    ap = cli.build_arg_parser()
+    args = ap.parse_args([str(CIRCUITS_DIR / "rlc_loop.cir"), "--all-nodes"])
+    grid_defaults = inspect.signature(make_grid).parameters
+    audit_defaults = inspect.signature(cli.audit).parameters
+    expected = {
+        "fstart": grid_defaults["f_start"].default,
+        "fstop": grid_defaults["f_stop"].default,
+        "ppd": grid_defaults["points_per_decade"].default,
+        "floor": audit_defaults["floor"].default,
+        "gap": audit_defaults["gap"].default,
+        "gmin": audit_defaults["gmin"].default,
+    }
+    helps = {a.dest: a.help for a in ap._actions}
+    for dest, default in expected.items():
+        assert getattr(args, dest) == default, dest
+        (stated,) = re.findall(r"\(default ([^)]+)\)", helps[dest])
+        assert parse_value(stated) == default, dest
 
 
 def test_oversized_grid_is_rejected_before_sweeping(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from loopscope.report import (
     build_report,
     format_eng_freq,
-    group_loops,
     render_curves_csv,
     render_json,
     render_text,
@@ -41,28 +40,33 @@ GRID = make_grid(1.0, 1e8, 10)
 def test_group_close_frequencies_into_one_loop():
     peaks = [pole("a", -20.0, 3.16e6), pole("b", -21.0, 3.16e6),
              pole("c", -19.0, 3.31e6)]
-    groups = group_loops(peaks, rel_gap=0.05)
+    groups = build_report("t", GRID, peaks, rel_gap=0.05).groups
     assert len(groups) == 1
     assert {m.node for m in groups[0].members} == {"a", "b", "c"}
 
 
 def test_group_distant_frequencies_split():
-    groups = group_loops([pole("a", -4.0, 1e6), pole("b", -4.0, 5e7)])
+    groups = build_report("t", GRID, [pole("a", -4.0, 1e6), pole("b", -4.0, 5e7)]).groups
     assert len(groups) == 2
 
 
 def test_group_empty():
-    assert group_loops([]) == []
+    assert build_report("t", GRID, []).groups == []
 
 
-def test_group_rejects_zero_peaks():
-    with pytest.raises(ValueError):
-        group_loops([zero("a", 4.0, 1e3)])
+def test_zero_peaks_never_join_a_loop():
+    poles = [pole("a", -20.0, 3.16e6), pole("b", -4.0, 5e7)]
+    z = zero("c", 30.0, 3.16e6)
+    alone = build_report("t", GRID, poles)
+    mixed = build_report("t", GRID, [z, *poles])
+    assert [g.members for g in mixed.groups] == [g.members for g in alone.groups]
+    assert mixed.zeros == [z]
+    assert render_text(mixed).count("Loop at") == 2
 
 
 def test_group_label_and_worst_fields():
     peaks = [pole("weak", -9.0, 1.00e6), pole("deep", -36.0, 1.02e6)]
-    (g,) = group_loops(peaks)
+    (g,) = build_report("t", GRID, peaks).groups
     assert g.worst_node == "deep"
     assert g.label_freq == 1.02e6
     assert g.worst_zeta == pytest.approx(1.0 / 6.0)
@@ -72,11 +76,11 @@ def test_group_label_and_worst_fields():
 def test_group_worst_zeta_skips_flagged_members():
     peaks = [pole("edge", -100.0, 1.0e6, flags={PeakFlag.END_OF_RANGE}),
              pole("mid", -4.0, 1.02e6)]
-    (g,) = group_loops(peaks)
+    (g,) = build_report("t", GRID, peaks).groups
     assert g.worst_zeta == pytest.approx(0.5)
     assert g.severity is not None
-    only_flagged = group_loops([pole("edge", -100.0, 1e6,
-                                     flags={PeakFlag.END_OF_RANGE})])
+    edge = pole("edge", -100.0, 1e6, flags={PeakFlag.END_OF_RANGE})
+    only_flagged = build_report("t", GRID, [edge]).groups
     assert only_flagged[0].worst_zeta is None
     assert only_flagged[0].severity is None
 
@@ -86,15 +90,15 @@ def test_group_worst_node_is_min_zeta_gradable_member():
     # node; JSON and text must name the same member.
     peaks = [pole("edge", -100.0, 1.0e6, flags={PeakFlag.END_OF_RANGE}),
              pole("weak", -2.0, 1.01e6), pole("mid", -4.0, 1.02e6)]
-    (g,) = group_loops(peaks)
+    (g,) = build_report("t", GRID, peaks).groups
     assert g.members[0].node == "edge"
     assert g.worst_node == "mid"
     report = build_report("t", GRID, peaks)
     (doc_group,) = json.loads(render_json(report))["groups"]
     assert doc_group["worst_node"] == "mid"
     assert "(node mid)" in render_text(report)
-    only_flagged = group_loops([pole("edge", -100.0, 1e6,
-                                     flags={PeakFlag.END_OF_RANGE})])
+    edge = pole("edge", -100.0, 1e6, flags={PeakFlag.END_OF_RANGE})
+    only_flagged = build_report("t", GRID, [edge]).groups
     assert only_flagged[0].worst_node == "edge"
 
 
@@ -111,7 +115,7 @@ def test_group_grade_is_its_worst_members(members):
     # is the worst severity only because severity never improves as zeta
     # falls.
     peaks = [pole(f"n{i}", -depth, 1e6, flags) for i, (depth, flags) in enumerate(members)]
-    (g,) = group_loops(peaks)
+    (g,) = build_report("t", GRID, peaks).groups
     graded = [pk for pk in peaks if pk.severity is not None]
     assert g.severity == min((pk.severity for pk in graded), default=None)
     if graded:
@@ -129,11 +133,11 @@ def test_group_grade_is_its_worst_members(members):
 @settings(max_examples=50, deadline=None)
 def test_grouping_permutation_invariant(freqs, seed):
     peaks = [pole(f"n{i}", -4.0 - i, f) for i, f in enumerate(freqs)]
-    base = group_loops(peaks)
+    base = build_report("t", GRID, peaks).groups
     rng = np.random.default_rng(seed)
     shuffled = list(peaks)
     rng.shuffle(shuffled)
-    again = group_loops(shuffled)
+    again = build_report("t", GRID, shuffled).groups
     assert [[m.node for m in g.members] for g in base] == \
            [[m.node for m in g.members] for g in again]
     assert [g.label_freq for g in base] == [g.label_freq for g in again]
@@ -144,7 +148,8 @@ def test_grouping_permutation_invariant(freqs, seed):
 @settings(max_examples=50, deadline=None)
 def test_grouping_monotone_in_gap(freqs):
     peaks = [pole(f"n{i}", -4.0, f) for i, f in enumerate(freqs)]
-    counts = [len(group_loops(peaks, rel_gap=g)) for g in (0.01, 0.05, 0.2, 1.0)]
+    counts = [len(build_report("t", GRID, peaks, rel_gap=g).groups)
+              for g in (0.01, 0.05, 0.2, 1.0)]
     assert counts == sorted(counts, reverse=True)
 
 
