@@ -35,6 +35,9 @@ import numpy as np
 
 from .sweep import BadRange, FrequencyGrid, Sweep
 
+#: Lower clamp applied to |V| before logs; samples below it (the sweep's
+#: unresolved zeros among them) are flagged and never become peak candidates.
+MAGNITUDE_FLOOR = 1e-300
 PEAK_FLOOR_DEFAULT = 0.1
 #: A pole and a zero whose frequencies agree within this relative gap are
 #: flagged as a pole-zero doublet.
@@ -81,7 +84,7 @@ class Curves:
     grid: FrequencyGrid
     nodes: list[str]
     log_freq: np.ndarray   # ln(omega) at the interior points, shared by every row
-    magnitude: np.ndarray  # the sweep's |V| at the same points (a view)
+    magnitude: np.ndarray  # the sweep's |V| at the same points, floor applied
     p: np.ndarray
     clamped: np.ndarray    # True where the difference stencil touched clamped data
 
@@ -122,20 +125,22 @@ def stability_curves(sweep: Sweep) -> Curves:
     """Central second difference of ln(magnitude) over the log grid, for
     every node of ``sweep`` at once, one row per node.
 
-    Each row is normalized by its maximum first, which makes the curve
-    exactly invariant under power-of-two rescaling of the data and keeps
-    the logs well conditioned.
+    Magnitudes below ``MAGNITUDE_FLOOR`` (zeros included) are raised to it
+    and clamped.  Each row is normalized by its maximum first, which makes
+    the curve exactly invariant under power-of-two rescaling of the data
+    and keeps the logs well conditioned.
     """
     n = len(sweep.grid)
     if n < 3:
         raise BadRange(f"need at least 3 grid points, got {n}")
-    logm = np.log(sweep.magnitude / sweep.magnitude.max(axis=1, keepdims=True))
+    floored = np.maximum(sweep.magnitude, MAGNITUDE_FLOOR)
+    logm = np.log(floored / floored.max(axis=1, keepdims=True))
     h = sweep.grid.log_step
     p = (logm[:, 2:] - 2.0 * logm[:, 1:-1] + logm[:, :-2]) / (h * h)
-    c = sweep.clamped
+    c = sweep.magnitude < MAGNITUDE_FLOOR
     clamped = c[:, 2:] | c[:, 1:-1] | c[:, :-2]
     log_freq = np.log(2.0 * math.pi * sweep.grid.freqs[1:-1])
-    return Curves(sweep.grid, sweep.nodes, log_freq, sweep.magnitude[:, 1:-1], p, clamped)
+    return Curves(sweep.grid, sweep.nodes, log_freq, floored[:, 1:-1], p, clamped)
 
 
 def zeta_from_index(p_value: float) -> float:

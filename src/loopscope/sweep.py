@@ -21,14 +21,10 @@ import numpy as np
 
 from .mna import MnaError, MnaPattern, solve_block
 
-#: Lower clamp applied to |V| before logs; clamped points are flagged and
-#: never become peak candidates.
-MAGNITUDE_FLOOR = 1e-300
-
-#: A node voltage below this fraction of the solution's largest entry is
-#: solver rounding residue, not signal (ideal-source-driven nodes come
-#: back as ~1e-13 of scale noise); such points are clamped and flagged so
-#: the log-curvature analysis never differentiates numerical noise.
+#: A node voltage at or below this fraction of the solution's largest
+#: entry is solver rounding residue, not signal (ideal-source-driven nodes
+#: come back as ~1e-13 of scale noise); such points are written as 0, which
+#: the stability analysis clamps, so it never differentiates numerical noise.
 NOISE_FLOOR_REL = 1e-11
 
 #: Largest grid make_grid builds; each point costs one solve per node.
@@ -84,15 +80,13 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
 
 @dataclass
 class Sweep:
-    """Result of a sweep.  Row k of ``magnitude`` and ``clamped`` is node
-    ``nodes[k]``; rows keep the requested node order, and so does
-    ``errors``, which maps each node whose solve failed (it has no row)
-    to the failure."""
+    """Result of a sweep.  Row k of ``magnitude`` is node ``nodes[k]``;
+    rows keep the requested node order, and so does ``errors``, which maps
+    each node whose solve failed (it has no row) to the failure."""
 
     grid: FrequencyGrid
     nodes: list[str]
-    magnitude: np.ndarray        # |V| in volts (== ohms at 1 A), floor applied
-    clamped: np.ndarray          # bool, True where the floor kicked in
+    magnitude: np.ndarray        # |V| in volts (== ohms at 1 A), 0 where unresolved
     errors: dict[str, str]
 
 
@@ -114,7 +108,6 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
     unit = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
     unit[range(len(rows)), rows] = 1.0
     magnitude = np.zeros((len(rows), len(grid)))
-    clamped = np.zeros(magnitude.shape, dtype=bool)
     failed: dict[int, str] = {}  # index into rows -> its first refusal
     omegas = 2.0 * math.pi * grid.freqs
     with np.errstate(over="ignore"):
@@ -148,10 +141,9 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
         # hypot is bitwise the scalar abs(x[row]) of a per-point solve; an
         # array abs of complex values may differ from it in the last bit.
         x = X[at]
-        mag = magnitude[live, i] = np.hypot(x.real, x.imag)
-        clamped[live, i] = mag <= NOISE_FLOOR_REL * abs(X).max(axis=1)
-    clamped |= magnitude < MAGNITUDE_FLOOR
-    magnitude[clamped] = MAGNITUDE_FLOOR
+        mag = np.hypot(x.real, x.imag)
+        mag[mag <= NOISE_FLOOR_REL * abs(X).max(axis=1)] = 0.0
+        magnitude[live, i] = mag
     ok = [k for k in range(len(rows)) if k not in failed]
-    return Sweep(grid, [labels[rows[k]] for k in ok], magnitude[ok], clamped[ok],
+    return Sweep(grid, [labels[rows[k]] for k in ok], magnitude[ok],
                  {labels[rows[k]]: msg for k, msg in sorted(failed.items())})

@@ -203,7 +203,7 @@ def test_criterion_5_properties_and_golden():
     mag = 1.0 / np.sqrt((1 - u**2) ** 2 + (2 * 0.25 * u) ** 2)
 
     def curve_of(m):
-        swept = Sweep(grid, ["s"], m[np.newaxis], np.zeros((1, len(m)), dtype=bool), {})
+        swept = Sweep(grid, ["s"], m[np.newaxis], {})
         curves = stability_curves(swept)
         assert curves.nodes == ["s"]
         return curves.p

@@ -546,6 +546,23 @@ def test_opamp_macromodel_gates_on_load(tmp_path, capsys):
     assert "severity unstable-risk" in out_bad
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: |Z| alone cannot tell a right-half-plane "
+                   "pole pair from its mirror; the tank's exact zeta is -0.601")
+def test_unstable_tank_is_not_clean(tmp_path, capsys):
+    path = write(tmp_path, "tank.cir",
+                 "tank\nL1 a 0 1m\nC1 a 0 1u\nR1 a 0 100\nG1 a 0 0 a 48m\n.end\n")
+    code, _, _ = run_cli(capsys, path, "--all-nodes", "--fstart", "50", "--fstop", "500k")
+    assert code != 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18 step 2: the loop's real zero reads "
+                   "exact zeta 0.296 as 0.302, over the 0.3 risk threshold")
+def test_loop_just_below_the_risk_threshold_is_not_clean(tmp_path, capsys):
+    path = write(tmp_path, "rlc.cir", circuits.passive_rlc_loop(0.296))
+    code, _, _ = run_cli(capsys, path, "--all-nodes")
+    assert code != 0
+
+
 def test_readme_examples_match_the_cli(capsys):
     # The README's example report and its --param cl=2n claim are the
     # shipped op-amp's real output, so neither can drift from the code.

@@ -245,7 +245,7 @@ def _curve(node="a", n_points=5, nodes=None):
     grid = make_grid(1.0, 10.0 ** ((n_points - 1) / 10.0), 10)
     assert len(grid) == n_points
     mag = np.tile(np.linspace(1.0, 2.0, n_points), (len(nodes), 1))
-    curves = stability_curves(Sweep(grid, nodes, mag, np.zeros(mag.shape, dtype=bool), {}))
+    curves = stability_curves(Sweep(grid, nodes, mag, {}))
     assert curves.nodes == nodes
     return curves
 

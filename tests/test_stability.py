@@ -6,6 +6,7 @@ numerical differentiation oracle cross-checks the production path.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from loopscope.stability import (
     DOUBLET_GAP_DEFAULT,
     LOBE_RATIO,
     LOBE_WINDOW,
+    MAGNITUDE_FLOOR,
     Peak,
     PeakFlag,
     PeakKind,
@@ -38,10 +40,7 @@ import circuits
 
 def synthetic(grid, magnitude, node="syn"):
     """A one-row sweep of ``magnitude`` at ``node``."""
-    magnitude = np.asarray(magnitude, dtype=float)
-    clamped = magnitude < 1e-300
-    return Sweep(grid, [node], np.maximum(magnitude, 1e-300)[np.newaxis],
-                 clamped[np.newaxis], {})
+    return Sweep(grid, [node], np.asarray(magnitude, dtype=float)[np.newaxis], {})
 
 
 def curve_of(grid, magnitude):
@@ -245,14 +244,36 @@ def test_clamped_samples_never_become_candidates():
     grid = make_grid(1.0, 1e4, 25)
     mag = np.full(len(grid), 3.0)
     mag[10] = 0.0  # exact null -> floor clamp
-    resp = synthetic(grid, mag)
-    assert resp.clamped[0, 10]
-    curves = stability_curves(resp)
+    curves = stability_curves(synthetic(grid, mag))
+    # interior points 8, 9 and 10 are the stencils that touch sample 10
+    assert np.flatnonzero(curves.clamped[0]).tolist() == [8, 9, 10]
     peaks = detect_peaks(curves)
     # The huge fake curvature around the clamped point is ignored.
     lo, hi = np.exp(curves.log_freq[curves.clamped[0]][[0, -1]]) / (2 * math.pi)
     assert not any(lo <= pk.natural_freq <= hi for pk in peaks)
     assert peaks == []
+
+
+def test_zero_and_subnormal_magnitudes_are_floored_without_a_warning():
+    # A simulator's export may hold exact zeros and underflows; the
+    # analysis floors them before its log and clamps them.  P is bitwise
+    # that of the floor written into the sweep, where a sample exactly at
+    # the floor is data, not clamped.
+    grid = make_grid(1.0, 1e4, 25)
+    m = np.vstack([np.full(len(grid), 3.0), np.linspace(1.0, 2.0, len(grid))])
+    m[0, 10], m[1, 20] = 0.0, 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = stability_curves(Sweep(grid, ["a", "b"], m, {}))
+        written = stability_curves(Sweep(grid, ["a", "b"],
+                                         np.where(m < MAGNITUDE_FLOOR, MAGNITUDE_FLOOR, m), {}))
+    below = m < MAGNITUDE_FLOOR
+    assert below.sum() == 2
+    assert curves.magnitude.tobytes() == np.maximum(m, MAGNITUDE_FLOOR)[:, 1:-1].tobytes()
+    assert np.array_equal(curves.clamped, below[:, 2:] | below[:, 1:-1] | below[:, :-2])
+    assert curves.p.tobytes() == written.p.tobytes()
+    assert np.isfinite(curves.p).all()
+    assert not written.clamped.any()
 
 
 def reference_detect_peaks(curves, floor):

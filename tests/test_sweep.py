@@ -8,9 +8,8 @@ import pytest
 from loopscope import sweep
 from loopscope.mna import MnaError, build_pattern, solve_block
 from loopscope.netlist import elaborate, parse
-from loopscope.stability import stability_curves
+from loopscope.stability import MAGNITUDE_FLOOR, stability_curves
 from loopscope.sweep import (
-    MAGNITUDE_FLOOR,
     MAX_GRID_POINTS,
     NOISE_FLOOR_REL,
     BadRange,
@@ -94,7 +93,7 @@ def test_flat_resistive_response():
     swept = sweep_all_nodes(build_pattern(net, gmin=0.0), grid, ["a"])
     assert swept.nodes == ["a"] and swept.magnitude.shape == (1, len(grid))
     assert np.allclose(swept.magnitude, 500.0, rtol=1e-12)
-    assert not swept.clamped.any()
+    assert not (swept.magnitude == 0).any()
 
 
 def test_rc_response_matches_analytic_magnitude():
@@ -142,7 +141,7 @@ def test_all_nodes_count_and_order():
     grid = make_grid(10.0, 1e4, 20)
     swept = sweep_all_nodes(build_pattern(net), grid)
     assert swept.nodes == ["a", "b", "c", "d"]
-    assert swept.magnitude.shape == swept.clamped.shape == (4, len(grid))
+    assert swept.magnitude.shape == (4, len(grid))
     assert swept.errors == {}
 
 
@@ -238,7 +237,6 @@ def test_failing_node_stops_alone_and_leaves_the_others_bitwise(monkeypatch):
     for got, want in enumerate(others):
         node = swept.nodes[got]
         assert swept.magnitude[got].tobytes() == clean.magnitude[want].tobytes(), node
-        assert np.array_equal(swept.clamped[got], clean.clamped[want]), node
 
 
 def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
@@ -276,17 +274,19 @@ def test_sense_only_node_is_refused_alone_on_a_real_netlist(monkeypatch):
     alone = sweep_all_nodes(pattern, grid, nodes=swept.nodes)
     assert alone.errors == {}
     assert swept.magnitude.tobytes() == alone.magnitude.tobytes()
-    assert np.array_equal(swept.clamped, alone.clamped)
 
 
-def _row_curve(grid, magnitude, clamped):
+def _row_curve(grid, magnitude):
     """One node's stability curve computed from that node's row alone: the
     reference the whole-block expression of ``stability_curves`` must
-    match bitwise."""
-    logm = np.log(magnitude / np.max(magnitude))
+    match bitwise.  The row is floored before its log, and the samples
+    below the floor are the clamped ones."""
+    clamped = magnitude < MAGNITUDE_FLOOR
+    floored = np.where(clamped, MAGNITUDE_FLOOR, magnitude)
+    logm = np.log(floored / np.max(floored))
     h = grid.log_step
     p = (logm[2:] - 2.0 * logm[1:-1] + logm[:-2]) / (h * h)
-    return p, clamped[2:] | clamped[1:-1] | clamped[:-2], magnitude[1:-1]
+    return p, clamped[2:] | clamped[1:-1] | clamped[:-2], floored[1:-1]
 
 
 @pytest.mark.parametrize("case", ["ladder10", "opamp", "one_node_fails"])
@@ -306,8 +306,8 @@ def test_stability_curves_match_per_row_reference_bitwise(case, monkeypatch):
     rows = {"ladder10": 21, "opamp": 5, "one_node_fails": 6}[case]
     assert len(swept.nodes) == rows and swept.magnitude.shape == (rows, len(grid))
     assert list(swept.errors) == (["s2"] if case == "one_node_fails" else [])
-    if case == "opamp":  # the input, pinned by Vin, is clamped everywhere
-        assert swept.clamped[swept.nodes.index("in")].all()
+    if case == "opamp":  # the input, pinned by Vin, is noise everywhere
+        assert (swept.magnitude[swept.nodes.index("in")] == 0).all()
     curves = stability_curves(swept)
     assert curves.nodes == swept.nodes
     assert curves.p.shape == curves.clamped.shape == curves.magnitude.shape \
@@ -315,8 +315,8 @@ def test_stability_curves_match_per_row_reference_bitwise(case, monkeypatch):
     log_freq = np.log(2.0 * math.pi * grid.freqs[1:-1])
     assert curves.log_freq.tobytes() == log_freq.tobytes()
     assert curves.grid is grid
-    for k, (magnitude, clamped) in enumerate(zip(swept.magnitude, swept.clamped)):
-        p, stencil, interior = _row_curve(grid, magnitude.copy(), clamped.copy())
+    for k, magnitude in enumerate(swept.magnitude):
+        p, stencil, interior = _row_curve(grid, magnitude.copy())
         node = curves.nodes[k]
         assert curves.p[k].tobytes() == p.tobytes(), node
         assert np.array_equal(curves.clamped[k], stencil), node
@@ -345,27 +345,27 @@ def test_all_nodes_entry_matches_single_node_sweep_bitwise(src, node, grid_args)
     swept = sweep_all_nodes(pattern, grid)
     k = swept.nodes.index(node)
     assert np.array_equal(single.magnitude[0], swept.magnitude[k])
-    assert np.array_equal(single.clamped[0], swept.clamped[k])
-    assert np.array_equal(stability_curves(single).p[0], stability_curves(swept).p[k])
+    one, every = stability_curves(single), stability_curves(swept)
+    assert np.array_equal(one.clamped[0], every.clamped[k])
+    assert np.array_equal(one.p[0], every.p[k])
 
 
 def _oracle_response(pattern, node, grid):
-    """The sweep written out with a fresh G + jwC per frequency."""
+    """The sweep written out with a fresh G + jwC per frequency: |V| at the
+    node, or 0 where it is noise; the floor is the analysis's."""
     row = pattern.row_of_node(node)
     b = np.zeros(pattern.dim, dtype=np.complex128)
     b[row] = 1.0
     magnitude = np.empty(len(grid))
-    clamped = np.zeros(len(grid), dtype=bool)
     for i, f in enumerate(grid.freqs):
         omega = 2.0 * math.pi * f
         X, refused = solve_block(pattern.G + 1j * omega * pattern.C, b[None])
         assert refused == {}
         x = X[0]
         magnitude[i] = abs(x[row])
-        clamped[i] = magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x)))
-    clamped |= magnitude < MAGNITUDE_FLOOR
-    magnitude[clamped] = MAGNITUDE_FLOOR
-    return magnitude, clamped
+        if magnitude[i] <= NOISE_FLOOR_REL * float(np.max(np.abs(x))):
+            magnitude[i] = 0.0
+    return magnitude
 
 
 @pytest.mark.parametrize("src,grid_args", [
@@ -384,13 +384,11 @@ def test_in_place_assembly_matches_fresh_matrix_oracle_bitwise(src, grid_args):
     assert not swept.errors
     assert swept.nodes == pattern.labels[:pattern.n_nodes]
     for result in (swept, single):
-        for node, row_mag, row_clamped in zip(result.nodes, result.magnitude,
-                                              result.clamped):
-            magnitude, clamped = _oracle_response(pattern, node, grid)
+        for node, row_mag in zip(result.nodes, result.magnitude):
+            magnitude = _oracle_response(pattern, node, grid)
             assert row_mag.tobytes() == magnitude.tobytes(), node
-            assert np.array_equal(row_clamped, clamped), node
-    if "Xamp.eo" in pattern.labels:  # the ideal-source-driven node clamps
-        assert swept.clamped[swept.nodes.index("Xamp.eo")].all()
+    if "Xamp.eo" in pattern.labels:  # the ideal-source-driven node is noise
+        assert (swept.magnitude[swept.nodes.index("Xamp.eo")] == 0).all()
 
 
 def test_added_isource_changes_nothing_bitwise():
@@ -419,13 +417,14 @@ def test_added_vsource_is_zeroed_during_injection():
 def test_ideal_source_driven_node_clamps_instead_of_noise():
     # Injecting into a node pinned by an ideal VCVS has a zero response;
     # the computed values are solver rounding residue and must come back
-    # clamped, never as wild curvature.
+    # as 0, which the analysis clamps, never as wild curvature.
     net = _net(circuits.hierarchical_opamp_buffer())
     grid = make_grid(1e3, 1e9, 50)
     swept = sweep_all_nodes(build_pattern(net), grid, ["Xamp.eo"])
-    assert swept.clamped.all()
+    assert (swept.magnitude == 0).all()
     curves = stability_curves(swept)
     assert curves.nodes == ["Xamp.eo"]
+    assert curves.clamped.all()
     assert np.all(curves.p == 0.0)
 
 
