@@ -22,10 +22,10 @@ floating nodes solvable, matching common simulator practice; it is
 folded into G, and a gmin that overflows G is refused.
 
 ``solve_block`` is the one solver: at each frequency a sweep hands it
-Y(w) and the unit rows of every injected node, and its docstring states
-the one rule that accepts or refuses each solution.  The checks use
-ndarray methods (``abs(R).max(axis=1)``), not the slower
-``np.max``/``np.all`` wrappers, since they run at every frequency.
+Y(w) and one injection row per live node and reads each row's response
+from that row's solution.  Its docstring states how a block is factored
+and the one rule that accepts or refuses each solution; its per-frequency
+checks use ndarray methods, not the slower ``np.max``/``np.all`` wrappers.
 """
 
 from __future__ import annotations

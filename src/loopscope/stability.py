@@ -128,11 +128,18 @@ def stability_curves(sweep: Sweep) -> Curves:
     Magnitudes below ``MAGNITUDE_FLOOR`` (zeros included) are raised to it
     and clamped.  Each row is normalized by its maximum first, which makes
     the curve exactly invariant under power-of-two rescaling of the data
-    and keeps the logs well conditioned.
+    and keeps the logs well conditioned.  A magnitude that is NaN,
+    infinite or negative raises ``ValueError``, naming the first one in
+    node order, then frequency order.
     """
     n = len(sweep.grid)
     if n < 3:
         raise BadRange(f"need at least 3 grid points, got {n}")
+    bad = ~(np.isfinite(sweep.magnitude) & (sweep.magnitude >= 0))
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise ValueError(f"node {sweep.nodes[k]!r} has magnitude {float(sweep.magnitude[k, i])!r} "
+                         f"at {sweep.grid.freqs[i]:g} Hz; need a finite value >= 0")
     floored = np.maximum(sweep.magnitude, MAGNITUDE_FLOOR)
     logm = np.log(floored / floored.max(axis=1, keepdims=True))
     h = sweep.grid.log_step

@@ -1,10 +1,10 @@
 """AC current-injection frequency sweeps on a log-spaced grid.
 
 Each audit zeroes every independent source and walks the grid once: at
-each frequency it builds Y(w) = G + jwC and solves it, in one
-``mna.solve_block`` call, against a fixed 1 A injected into each
-requested node, recording |V| at that node.  With a 1 A stimulus the
-magnitude equals the driving-point impedance, and the stimulus level
+each frequency it builds Y(w) = G + jwC and hands ``mna.solve_block``
+one injection row per live node, a fixed 1 A into that node, reading
+|V| there as that row applied to its own solution.  With a 1 A stimulus
+the magnitude equals the driving-point impedance, and the stimulus level
 would cancel out of the downstream log-derivative analysis anyway.
 ``sweep_all_nodes`` is the one entry point for an audit, of one node or
 of many, and returns one ``Sweep``: a nodes x frequencies block of
@@ -105,8 +105,8 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
         repeat = next(name for k, name in enumerate(nodes) if rows[k] in rows[:k])
         raise MnaError(f"node {repeat!r} requested twice")
     rows = np.array(rows, dtype=np.intp)
-    unit = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
-    unit[range(len(rows)), rows] = 1.0
+    V = np.zeros((len(rows), pattern.dim), dtype=np.complex128)
+    V[range(len(rows)), rows] = 1.0  # the injection rows, a unit row per node
     magnitude = np.zeros((len(rows), len(grid)))
     failed: dict[int, str] = {}  # index into rows -> its first refusal
     omegas = 2.0 * math.pi * grid.freqs
@@ -118,15 +118,15 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
                        f"(omega={omegas[i]:g} rad/s)")
     # One work matrix for the whole audit, Y(w) = G + jwC: its real part
     # is G at every frequency, so it is written once and each frequency
-    # writes only w*C into the imaginary part, then solves the unit rows
-    # of every live node against that Y as one block.  G and C are sums
+    # writes only w*C into the imaginary part, then solves the injection
+    # rows of every live node against that Y as one block.  G and C are sums
     # into zeros and hold no -0.0, so this Y is bitwise the G + jwC that
     # evaluating it afresh gives.  The whole-array 2*pi*f gives the same
     # floats as one point at a time.
     Y = pattern.G.astype(np.complex128)
     wC = Y.imag
     live = np.arange(len(rows))  # the nodes still solving, as indexes into rows
-    B, at = unit, (live, rows)     # their unit rows; each one's own unknown in X
+    B = V                        # their injection rows, V[live]
     for i, omega in enumerate(omegas.tolist()):
         if not live.size:
             break
@@ -136,11 +136,11 @@ def sweep_all_nodes(pattern: MnaPattern, grid: FrequencyGrid,
             failed.update((int(live[j]), f"singular MNA system at unknown {labels[u]!r} "
                            f"(omega={omega:g} rad/s)") for j, u in refused.items())
             kept = [j for j in range(len(live)) if j not in refused]
-            live, X = live[kept], X[kept]
-            B, at = unit[live], (np.arange(len(live)), rows[live])
-        # hypot is bitwise the scalar abs(x[row]) of a per-point solve; an
-        # array abs of complex values may differ from it in the last bit.
-        x = X[at]
+            live, B, X = live[kept], B[kept], X[kept]
+        # Applied to its own solution, an injection row reads x at its node
+        # exactly, since an accepted x is finite.  hypot is bitwise the scalar
+        # abs(x[row]) of a per-point solve; an array abs may differ in the last bit.
+        x = (B * X).sum(axis=1)
         mag = np.hypot(x.real, x.imag)
         mag[mag <= NOISE_FLOOR_REL * abs(X).max(axis=1)] = 0.0
         magnitude[live, i] = mag

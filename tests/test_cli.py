@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loopscope import cli
+from loopscope import cli, sweep
 from loopscope.cli import main
 from loopscope.netlist import elaborate, parse, parse_value
 from loopscope.report import render_curves_csv
@@ -492,24 +492,24 @@ def test_all_nodes_with_solver_failures_still_reports(tmp_path, capsys):
     assert (tmp_path / "c.csv").read_text().splitlines()[:2] == ["freq_hz", "12.589254117941675"]
 
 
-@pytest.mark.parametrize("gmin,lus", [("0", 1), ("1e-320", 3)], ids=["0", "1e-320"])
-def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, gmin, lus):
-    # The isolated node f makes Y singular: at gmin 0 its pivot is exactly
-    # zero, which stops the first LU and so the whole block; at 1e-320 it
-    # is subnormal, and LAPACK returns NaN for each node's LU.  Every node
-    # fails at the first frequency, and the three refusals share one QR.
-    calls = {"solve": 0, "qr": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+@pytest.mark.parametrize("gmin", ["0", "1e-320"])
+def test_singular_frequency_is_named_from_one_qr(tmp_path, capsys, monkeypatch, gmin):
+    # The isolated node f makes Y singular, with an exactly zero pivot at
+    # gmin 0 and a subnormal one at 1e-320.  Every node is refused in the
+    # first block, the three refusals are named from one QR, and the sweep
+    # stops there.  How many LUs a block takes is test_mna's to count.
+    calls = {"solve_block": 0, "qr": 0}
+    for owner, name in ((sweep, "solve_block"), (np.linalg, "qr")):
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     path = write(tmp_path, "f.cir",
                  "t\nR1 a 0 1k\nC1 a 0 1n\nL1 a b 1u\nR2 b 0 10\nI1 f 0 AC 1\n.end\n")
     code, out, err = run_cli(capsys, path, "--all-nodes", "--fstart", "1meg",
                              "--fstop", "100meg", "--gmin", gmin)
     assert code == 1
-    assert calls == {"solve": lus, "qr": 1}
+    assert calls == {"solve_block": 1, "qr": 1}
     assert [line for line in out.splitlines() if "excluded" in line] == [
         f"- node {node!r} excluded: singular MNA system at unknown 'f' "
         "(omega=6.28319e+06 rad/s)" for node in "abf"]

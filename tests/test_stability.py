@@ -6,6 +6,7 @@ numerical differentiation oracle cross-checks the production path.
 """
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -274,6 +275,25 @@ def test_zero_and_subnormal_magnitudes_are_floored_without_a_warning():
     assert curves.p.tobytes() == written.p.tobytes()
     assert np.isfinite(curves.p).all()
     assert not written.clamped.any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_non_finite_or_negative_magnitude_is_refused(bad):
+    # One NaN would make its row's P all NaN and hide the loop, an inf
+    # would warn in the normalizing divide, and a negative sample would
+    # read as a second peak.  Each is refused before any log, naming the
+    # first such sample in node order, then frequency order; a signed
+    # zero at the same samples is data.
+    grid = make_grid(50.0, 500e3, 100)
+    good = second_order_magnitude(grid.freqs, 5e3, 0.2)
+    assert len(detect_peaks(curve_of(grid, good))) == 1
+    m = np.vstack([good, good, good])
+    m[1, 150] = m[1, 200] = m[2, 10] = bad
+    message = f"node 'b' has magnitude {bad!r} at {grid.freqs[150]:g} Hz; need a finite value >= 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stability_curves(Sweep(grid, ["a", "b", "c"], m, {}))
+    m[1, 150] = m[1, 200] = m[2, 10] = -0.0
+    assert stability_curves(Sweep(grid, ["a", "b", "c"], m, {})).clamped.any()
 
 
 def reference_detect_peaks(curves, floor):

@@ -168,31 +168,28 @@ def test_unknown_node_is_refused_before_any_solve(monkeypatch):
     assert calls == []
 
 
-def test_one_solve_per_node_and_frequency(monkeypatch):
+def test_one_block_per_frequency(monkeypatch):
     # Frequency-major: each frequency's Y, whose imaginary part is w*C,
-    # is solved once as a block of every node's unit row, in node order,
-    # by one LU per node, and every LU is handed the same work matrix.
-    blocks, lus = [], []
-    block, lu = sweep.solve_block, np.linalg.solve
+    # is handed to solve_block once, with every node's unit row in node
+    # order, and every call gets the same work matrix.  How the block is
+    # factored is solve_block's own contract (test_mna).
+    blocks = []
+    block = sweep.solve_block
 
     def counted_block(Y, B):
-        blocks.append((Y.imag.tobytes(), [int(np.flatnonzero(b)[0]) for b in B]))
+        blocks.append((Y, Y.imag.tobytes(), B.tobytes()))
         return block(Y, B)
 
-    def counted_lu(Y, b):
-        lus.append((int(np.flatnonzero(b)[0]), Y))
-        return lu(Y, b)
-
     monkeypatch.setattr(sweep, "solve_block", counted_block)
-    monkeypatch.setattr(np.linalg, "solve", counted_lu)
     pattern = build_pattern(_net(circuits.ladder(3)))
     grid = make_grid(1.0, 1000.0, 10)
     swept = sweep_all_nodes(pattern, grid)
     assert len(grid) == 31 and len(swept.nodes) == pattern.n_nodes == 7
     omegas = (2 * math.pi * grid.freqs).tolist()
-    assert blocks == [((omega * pattern.C).tobytes(), list(range(7))) for omega in omegas]
-    assert [row for row, _ in lus] == list(range(7)) * 31
-    assert all(Y is lus[0][1] for _, Y in lus)
+    unit_rows = np.eye(pattern.dim, dtype=np.complex128)[:7].tobytes()
+    assert [(wc, b) for _, wc, b in blocks] == [
+        ((omega * pattern.C).tobytes(), unit_rows) for omega in omegas]
+    assert all(Y is blocks[0][0] for Y, _, _ in blocks)
 
 
 def _failing_solve(monkeypatch, pattern, grid, fail_at):
@@ -254,22 +251,23 @@ def test_errors_keep_node_order_whichever_node_fails_first(monkeypatch):
 
 
 def test_sense_only_node_is_refused_alone_on_a_real_netlist(monkeypatch):
-    # No patched solve: at gmin 1e-320, n5 is refused at the first
-    # frequency after its one LU, and the other four nodes read bitwise
-    # what a sweep of them alone reads.
+    # The real solve_block, only observed: at gmin 1e-320, n5 is refused
+    # at the first frequency, so its row is in the first block only, and
+    # the other four nodes read bitwise what a sweep of them alone reads.
     pattern = build_pattern(_net(circuits.sense_only_node()), gmin=1e-320)
     grid = make_grid(1.0, 1e10, 20)
-    lus = []
-    lu = np.linalg.solve
+    blocks = []
+    block = sweep.solve_block
 
-    def counted_lu(Y, b):
-        lus.append(pattern.labels[int(np.flatnonzero(b)[0])])
-        return lu(Y, b)
+    def counted_block(Y, B):
+        blocks.append([pattern.labels[int(np.flatnonzero(b)[0])] for b in B])
+        return block(Y, B)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_lu)
+    monkeypatch.setattr(sweep, "solve_block", counted_block)
     swept = sweep_all_nodes(pattern, grid)
     assert swept.errors == {"n5": "singular MNA system at unknown 'n5' (omega=6.28319 rad/s)"}
-    assert lus.count("n5") == 1
+    assert len(blocks) == len(grid)
+    assert [k for k, rows in enumerate(blocks) if "n5" in rows] == [0]
     assert swept.nodes == ["n4", "n3", "n1", "n2"]
     alone = sweep_all_nodes(pattern, grid, nodes=swept.nodes)
     assert alone.errors == {}
