@@ -72,6 +72,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    f_start, f_stop, ppd = make_grid.__defaults__
     ap = _ArgumentParser(
         prog="loopscope",
         description="AC stability audit of closed-loop linear circuits by "
@@ -83,18 +84,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       help="audit every non-ground node")
     ap.add_argument("--filter", dest="node_filter", metavar="GLOB",
                     help="all-nodes mode: only nodes matching this pattern")
-    ap.add_argument("--fstart", type=_spice_float, default=1.0,
-                    help="sweep start frequency in Hz (default 1)")
-    ap.add_argument("--fstop", type=_spice_float, default=1e10,
-                    help="sweep stop frequency in Hz (default 10G)")
-    ap.add_argument("--ppd", type=int, default=100,
-                    help="grid points per decade (default 100)")
+    ap.add_argument("--fstart", type=_spice_float, default=f_start,
+                    help="sweep start frequency in Hz (default %(default)g)")
+    ap.add_argument("--fstop", type=_spice_float, default=f_stop,
+                    help="sweep stop frequency in Hz (default %(default)g)")
+    ap.add_argument("--ppd", type=int, default=ppd,
+                    help="grid points per decade (default %(default)g)")
     ap.add_argument("--floor", type=_number(">"), default=PEAK_FLOOR_DEFAULT,
-                    help="peak detection floor on |P| (default 0.1)")
+                    help="peak detection floor on |P| (default %(default)g)")
     ap.add_argument("--gap", type=_number(">"), default=REL_GAP_DEFAULT,
-                    help="relative frequency gap for loop grouping (default 0.05)")
+                    help="relative frequency gap for loop grouping (default %(default)g)")
     ap.add_argument("--gmin", type=_number(">="), default=GMIN_DEFAULT,
-                    help="node-to-ground conductance for solvability (default 1e-12)")
+                    help="node-to-ground conductance for solvability (default %(default)g)")
     ap.add_argument("--out", dest="out_path", metavar="PATH",
                     help="write the text report here instead of stdout")
     ap.add_argument("--csv", dest="csv_path", metavar="PATH",

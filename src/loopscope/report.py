@@ -141,7 +141,7 @@ def render_text(report: StabilityReport) -> str:
     node, |stability peak|, natural frequency (Hz)."""
     grid = report.grid
     out = [report.netlist_title,
-           f"sweep {grid.f_start:g} Hz .. {grid.f_stop:g} Hz, "
+           f"sweep {grid.freqs[0]:g} Hz .. {grid.freqs[-1]:g} Hz, "
            f"{grid.points_per_decade} points/decade ({len(grid)} points)",
            ""]
     if not report.groups:
@@ -176,11 +176,11 @@ def render_text(report: StabilityReport) -> str:
 
 
 def render_curves_csv(curves: Curves) -> str:
-    """CSV dump of each node's magnitude and stability curve over the
-    interior points of the curves' grid, in row order; with no node only
-    the ``freq_hz`` column."""
-    table = np.empty((len(curves.log_freq), 1 + 2 * len(curves.nodes)))
-    table[:, 0] = curves.grid.freqs[1:-1]
+    """CSV dump of each node's magnitude and stability curve at the
+    curves' frequencies, in row order; with no node only the ``freq_hz``
+    column."""
+    table = np.empty((len(curves.freqs), 1 + 2 * len(curves.nodes)))
+    table[:, 0] = curves.freqs
     table[:, 1::2] = curves.magnitude.T
     table[:, 2::2] = curves.p.T
     buf = io.StringIO()
@@ -212,8 +212,8 @@ def render_json(report: StabilityReport) -> str:
         "schema": JSON_SCHEMA,
         "netlist_title": report.netlist_title,
         "grid": {
-            "f_start_hz": report.grid.f_start,
-            "f_stop_hz": report.grid.f_stop,
+            "f_start_hz": report.grid.freqs[0],
+            "f_stop_hz": report.grid.freqs[-1],
             "points_per_decade": report.grid.points_per_decade,
             "n_points": len(report.grid),
         },

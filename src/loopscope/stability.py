@@ -15,9 +15,9 @@ of the canonical loop wn**2 / (s (s + 2 zeta wn)).
 
 Implementation notes: the response is sampled on a uniform log grid, so
 P is one central second difference of ln|V| (exact for any quadratic in
-log-log coordinates, which is why pure slopes vanish identically),
-computed for every node of a sweep in one array expression, a
-``Curves`` block with a row per node, which ``detect_peaks`` scans.  An
+log-log coordinates, which is why pure slopes vanish identically), for
+every node of a sweep at once: a ``Curves`` block, a row per node and a
+column per interior frequency, which ``detect_peaks`` scans.  An
 underdamped pole also carries small positive side lobes (about a tenth
 of the peak depth); a detected extremum that is both opposite in sign
 and much smaller than a close neighbour is discarded as such a lobe
@@ -33,7 +33,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .sweep import BadRange, FrequencyGrid, Sweep
+from .sweep import BadRange, Sweep
 
 #: Lower clamp applied to |V| before logs; samples below it (the sweep's
 #: unresolved zeros among them) are flagged and never become peak candidates.
@@ -79,11 +79,10 @@ class Severity(IntEnum):
 @dataclass
 class Curves:
     """A sweep's stability plot at its grid's interior points: row k of
-    ``magnitude``, ``p`` and ``clamped`` is node ``nodes[k]``."""
+    ``magnitude``, ``p`` and ``clamped`` is node ``nodes[k]``, column i is ``freqs[i]``."""
 
-    grid: FrequencyGrid
     nodes: list[str]
-    log_freq: np.ndarray   # ln(omega) at the interior points, shared by every row
+    freqs: np.ndarray      # Hz, the interior grid points, shared by every row
     magnitude: np.ndarray  # the sweep's |V| at the same points, floor applied
     p: np.ndarray
     clamped: np.ndarray    # True where the difference stencil touched clamped data
@@ -128,13 +127,16 @@ def stability_curves(sweep: Sweep) -> Curves:
     Magnitudes below ``MAGNITUDE_FLOOR`` (zeros included) are raised to it
     and clamped.  Each row is normalized by its maximum first, which makes
     the curve exactly invariant under power-of-two rescaling of the data
-    and keeps the logs well conditioned.  A magnitude that is NaN,
-    infinite or negative raises ``ValueError``, naming the first one in
-    node order, then frequency order.
+    and keeps the logs well conditioned.  A block that is not nodes x
+    frequencies raises ``ValueError``, and so does a NaN, infinite or
+    negative magnitude, naming the first in node, then frequency order.
     """
     n = len(sweep.grid)
     if n < 3:
         raise BadRange(f"need at least 3 grid points, got {n}")
+    if sweep.magnitude.shape != (len(sweep.nodes), n):
+        raise ValueError(f"magnitude block has shape {sweep.magnitude.shape}; need "
+                         f"{len(sweep.nodes)} nodes x {n} frequencies")
     bad = ~(np.isfinite(sweep.magnitude) & (sweep.magnitude >= 0))
     if bad.any():
         k, i = np.argwhere(bad)[0]
@@ -146,8 +148,7 @@ def stability_curves(sweep: Sweep) -> Curves:
     p = (logm[:, 2:] - 2.0 * logm[:, 1:-1] + logm[:, :-2]) / (h * h)
     c = sweep.magnitude < MAGNITUDE_FLOOR
     clamped = c[:, 2:] | c[:, 1:-1] | c[:, :-2]
-    log_freq = np.log(2.0 * math.pi * sweep.grid.freqs[1:-1])
-    return Curves(sweep.grid, sweep.nodes, log_freq, floored[:, 1:-1], p, clamped)
+    return Curves(sweep.nodes, sweep.grid.freqs[1:-1], floored[:, 1:-1], p, clamped)
 
 
 def zeta_from_index(p_value: float) -> float:
@@ -219,6 +220,7 @@ def detect_peaks(curves: Curves, floor: float = PEAK_FLOOR_DEFAULT) -> list[Peak
     n = p.shape[1]
     if n < 2:
         return []
+    log_freq = np.log(2.0 * math.pi * curves.freqs)
     # Strict extrema against both neighbours; the infinite sentinels let
     # each end sample compete against its one real neighbour only.
     ends = ((0, 0), (1, 1))
@@ -238,9 +240,9 @@ def detect_peaks(curves: Curves, floor: float = PEAK_FLOOR_DEFAULT) -> list[Peak
         if near_clamp[k, i]:
             flags.add(PeakFlag.CLAMPED_DATA)
         if flags:
-            freq, value = math.exp(curves.log_freq[i]) / (2.0 * math.pi), float(p[k, i])
+            freq, value = math.exp(log_freq[i]) / (2.0 * math.pi), float(p[k, i])
         else:
-            freq, value = refine_peak(curves.log_freq, p[k], i)
+            freq, value = refine_peak(log_freq, p[k], i)
         kind = PeakKind.COMPLEX_POLE if minima[k, i] else PeakKind.COMPLEX_ZERO
         found.append((k, kind, freq, value, flags))
 

@@ -37,10 +37,9 @@ class BadRange(Exception):
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Uniform-in-log frequency grid, endpoints included."""
+    """Uniform-in-log frequency grid, endpoints included: ``freqs[0]`` and
+    ``freqs[-1]`` are the range's ends exactly."""
 
-    f_start: float
-    f_stop: float
     points_per_decade: int
     freqs: np.ndarray
     # uniform spacing of ln(f), == ln(10)/ppd for whole decades
@@ -73,9 +72,7 @@ def make_grid(f_start: float = 1.0, f_stop: float = 1e10,
     freqs = np.exp(lnf)
     freqs[0] = f_start
     freqs[-1] = f_stop
-    return FrequencyGrid(f_start=f_start, f_stop=f_stop,
-                         points_per_decade=points_per_decade,
-                         freqs=freqs, log_step=float(lnf[1] - lnf[0]))
+    return FrequencyGrid(points_per_decade, freqs, float(lnf[1] - lnf[0]))
 
 
 @dataclass

@@ -257,7 +257,7 @@ def test_csv_line_count():
     assert lines[0] == "freq_hz,mag_a,p_a"
     # With no curves the grid's interior frequencies are the only column.
     lines = render_curves_csv(_curve(n_points=5, nodes=[])).strip().splitlines()
-    assert lines == ["freq_hz", *(repr(float(f)) for f in curve.grid.freqs[1:-1])]
+    assert lines == ["freq_hz", *(repr(float(f)) for f in curve.freqs)]
 
 
 def test_csv_hierarchical_node_name_not_quoted():
@@ -277,7 +277,7 @@ def test_csv_round_trips_full_precision():
     curve = _curve()
     lines = render_curves_csv(curve).strip().splitlines()
     first = lines[1].split(",")
-    assert float(first[0]) == curve.grid.freqs[1]
+    assert float(first[0]) == curve.freqs[0]
     assert float(first[1]) == curve.magnitude[0, 0] == 1.25  # the response's |V| at point 1
     assert float(first[2]) == curve.p[0, 0]
 
@@ -289,7 +289,7 @@ def test_csv_columns_follow_the_row_order():
     assert lines[0] == "freq_hz,mag_b,p_b,mag_a,p_a"
     for i, line in enumerate(lines[1:]):
         cells = [float(cell) for cell in line.split(",")]
-        assert cells == [curves.grid.freqs[i + 1], curves.magnitude[0, i], curves.p[0, i],
+        assert cells == [curves.freqs[i], curves.magnitude[0, i], curves.p[0, i],
                          curves.magnitude[1, i], curves.p[1, i]]
 
 
@@ -323,4 +323,4 @@ def test_json_numeric_round_trip_exact():
     assert member["p_value"] == p.p_value
     assert member["natural_freq_hz"] == p.natural_freq
     assert member["zeta"] == p.zeta
-    assert doc["grid"]["f_start_hz"] == GRID.f_start
+    assert doc["grid"]["f_start_hz"] == GRID.freqs[0]

@@ -51,6 +51,11 @@ def curve_of(grid, magnitude):
     return curves
 
 
+def log_omega(curves):
+    """ln(w) at the curves' frequencies, by detect_peaks' own expression."""
+    return np.log(2.0 * math.pi * curves.freqs)
+
+
 def second_order_magnitude(freqs, fn, zeta):
     """|1 / (s^2 + 2 s zeta + 1)| with s normalized to the pole pair."""
     u = freqs / fn
@@ -84,9 +89,8 @@ def test_single_real_pole_minimum():
     curve = curve_of(grid, mag)
     (p,) = curve.p
     i = int(np.argmin(p))
-    f_at_min = math.exp(curve.log_freq[i]) / (2 * math.pi)
     assert p[i] == pytest.approx(-0.5, abs=5e-4)
-    assert f_at_min == pytest.approx(fp, rel=0.02)
+    assert curve.freqs[i] == pytest.approx(fp, rel=0.02)
 
     x = np.linspace(math.log(fp) - 2, math.log(fp) + 2, 20001)
     lm = -0.5 * np.log1p((np.exp(x) / fp) ** 2)
@@ -100,9 +104,9 @@ def test_performance_index_closure_on_synthetic_data(zeta):
     # -1/zeta^2 within discretization error at 200 points/decade.
     fn = 1e3
     grid = make_grid(10.0, 1e5, 200)
-    (p,) = curve_of(grid, second_order_magnitude(grid.freqs, fn, zeta)).p
-    i = int(np.argmin(np.abs(grid.freqs[1:-1] - fn)))
-    assert p[i] == pytest.approx(-1.0 / zeta**2, rel=0.02)
+    curve = curve_of(grid, second_order_magnitude(grid.freqs, fn, zeta))
+    i = int(np.argmin(np.abs(curve.freqs - fn)))
+    assert curve.p[0, i] == pytest.approx(-1.0 / zeta**2, rel=0.02)
 
 
 def test_pole_zero_duality_negates_curve():
@@ -165,8 +169,7 @@ def test_coincident_double_real_pole_reaches_minus_one():
 
 def test_grid_too_short():
     freqs = np.array([1.0, 10.0])
-    tiny = FrequencyGrid(f_start=1.0, f_stop=10.0, points_per_decade=10,
-                         freqs=freqs, log_step=math.log(10.0))
+    tiny = FrequencyGrid(points_per_decade=10, freqs=freqs, log_step=math.log(10.0))
     with pytest.raises(BadRange, match="^need at least 3 grid points, got 2$"):
         curve_of(tiny, np.ones(2))
 
@@ -250,7 +253,7 @@ def test_clamped_samples_never_become_candidates():
     assert np.flatnonzero(curves.clamped[0]).tolist() == [8, 9, 10]
     peaks = detect_peaks(curves)
     # The huge fake curvature around the clamped point is ignored.
-    lo, hi = np.exp(curves.log_freq[curves.clamped[0]][[0, -1]]) / (2 * math.pi)
+    lo, hi = curves.freqs[curves.clamped[0]][[0, -1]]
     assert not any(lo <= pk.natural_freq <= hi for pk in peaks)
     assert peaks == []
 
@@ -296,6 +299,20 @@ def test_non_finite_or_negative_magnitude_is_refused(bad):
     assert stability_curves(Sweep(grid, ["a", "b", "c"], m, {})).clamped.any()
 
 
+@pytest.mark.parametrize("cut", [np.s_[:, 5:], np.s_[[0, 0]], np.s_[0]],
+                         ids=["first-samples-dropped", "extra-row", "one-dimensional"])
+def test_block_that_disagrees_with_its_nodes_or_grid_is_refused(cut):
+    # A block must be nodes x frequencies.  With its first 5 samples
+    # dropped the 5 kHz loop would be read against the wrong frequencies,
+    # at 4.46 kHz, and an extra row or a 1-D block would fail inside the
+    # analysis with an IndexError or numpy's AxisError.
+    grid = make_grid(50.0, 500e3, 100)
+    m = second_order_magnitude(grid.freqs, 5e3, 0.2)[np.newaxis][cut]
+    message = f"magnitude block has shape {m.shape}; need 1 nodes x {len(grid)} frequencies"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        detect_peaks(stability_curves(Sweep(grid, ["a"], m, {})))
+
+
 def reference_detect_peaks(curves, floor):
     """The loop-based candidate scan that detect_peaks replaced, with the
     unchanged doublet and side-lobe passes, run on one row at a time: the
@@ -306,6 +323,7 @@ def reference_detect_peaks(curves, floor):
 
 def _reference_row_peaks(curves, k, floor):
     p, clamped, node = curves.p[k], curves.clamped[k], curves.nodes[k]
+    log_freq = log_omega(curves)
     n = len(p)
     if n == 0:
         return []
@@ -320,9 +338,9 @@ def _reference_row_peaks(curves, k, floor):
         if (i > 0 and clamped[i - 1]) or (i < n - 1 and clamped[i + 1]):
             flags.add(PeakFlag.CLAMPED_DATA)
         if flags:
-            freq, value = math.exp(curves.log_freq[i]) / (2.0 * math.pi), float(p[i])
+            freq, value = math.exp(log_freq[i]) / (2.0 * math.pi), float(p[i])
         else:
-            freq, value = refine_peak(curves.log_freq, p, i)
+            freq, value = refine_peak(log_freq, p, i)
         found.append((i, Peak(node, kind, freq, value, flags=frozenset(flags))))
 
     for i in range(1, n - 1):
@@ -480,23 +498,19 @@ def _tiny_curve(p_values, clamped=None, log_step=0.1, node="t"):
     """A curves block with the given P samples: one row from a flat list,
     a row per node ``t0``, ``t1``, ... from a list of rows."""
     p = np.atleast_2d(np.asarray(p_values, dtype=float))
-    n = p.shape[1] + 2
-    freqs = np.exp(np.linspace(0.0, (n - 1) * log_step, n))
-    grid = FrequencyGrid(f_start=freqs[0], f_stop=freqs[-1],
-                         points_per_decade=10, freqs=freqs, log_step=log_step)
     if clamped is None:
         clamped = np.zeros(p.shape, dtype=bool)
     nodes = [node] if np.ndim(p_values) == 1 else [f"t{k}" for k in range(len(p))]
-    return Curves(grid=grid, nodes=nodes, log_freq=np.log(2 * math.pi * freqs[1:-1]),
+    return Curves(nodes=nodes, freqs=np.exp(log_step * np.arange(1, p.shape[1] + 1)),
                   magnitude=np.ones(p.shape), p=p,
                   clamped=np.atleast_2d(np.asarray(clamped, dtype=bool)))
 
 
 def test_refine_symmetric_samples():
     curve = _tiny_curve([-9.0, -10.0, -9.0])
-    freq, value = refine_peak(curve.log_freq, curve.p[0], 1)
+    freq, value = refine_peak(log_omega(curve), curve.p[0], 1)
     assert value == pytest.approx(-10.0)
-    assert freq == pytest.approx(math.exp(curve.log_freq[1]) / (2 * math.pi), rel=1e-12)
+    assert freq == pytest.approx(curve.freqs[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("p,index", [([-1.0, -5.0, -2.0], 0), ([-1.0, -5.0, -2.0], 2),
@@ -506,9 +520,9 @@ def test_refine_falls_back_to_sample(p, index):
     # A row end has no neighbour on one side (index 0 must not read
     # p[-1]), and three collinear samples have no vertex.
     curve = _tiny_curve(p)
-    freq, value = refine_peak(curve.log_freq, curve.p[0], index)
+    freq, value = refine_peak(log_omega(curve), curve.p[0], index)
     assert value == p[index]
-    assert freq == pytest.approx(math.exp(curve.log_freq[index]) / (2 * math.pi), rel=1e-12)
+    assert freq == pytest.approx(curve.freqs[index], rel=1e-12)
 
 
 def test_refined_frequency_accuracy_at_100_ppd():
